@@ -115,6 +115,29 @@
 //! its epoch is published, so pollers pay a round-trip, not a body,
 //! while the epoch stands still.
 //!
+//! # Per-epoch view memo
+//!
+//! The dashboard's page-load views do not depend on the request, only
+//! on the city's snapshot: `stats`, `heatmap`, `figures/:id` and
+//! `figures/:id/svg` for `fig5`…`fig8`, `hotspots`, and
+//! `crowd/timeline` at the live epoch. Each city renders each of these
+//! once per epoch and answers every later request at that epoch with
+//! the same body bytes (`CityState::view`).
+//!
+//! - **Key.** The snapshot's epoch plus the view — twelve entries per
+//!   city. Query strings are never part of the key.
+//! - **Invalidation.** Snapshots are immutable and every non-empty
+//!   epoch drain publishes a higher epoch (the same identity the
+//!   `"{city}-e{epoch}"` ETags rely on), so a stored body is never
+//!   stale. The first request at a newer epoch replaces the city's
+//!   memo slot, dropping the older bodies; a request still holding an
+//!   older snapshot renders without storing.
+//! - **Bypass.** `crowd/timeline?epoch=N` replays a retained epoch and
+//!   never touches the memo, and an error response is never stored.
+//!
+//! Hits and misses are counted in
+//! `crowdweb_http_view_memo_total{view,outcome}`.
+//!
 //! # Cursor pagination
 //!
 //! `/users` and `/uploads` accept `?after=<id>` as an alternative to
@@ -143,6 +166,7 @@
 //! historical record exports are gone once the epoch advances.
 
 use crate::http::{BodyStream, ChunkedBytes, STREAM_CHUNK_BYTES};
+use crate::state::View;
 use crate::{AppState, CityState, Request, Response, Router, StatusCode};
 use crowdweb_crowd::{CrowdModel, CrowdSplice};
 use crowdweb_dataset::{MergeRecord, UserId};
@@ -684,17 +708,18 @@ struct StatsDto {
 }
 
 fn stats(_app: &AppState, state: &CityState, _: &Request, _: &HashMap<String, String>) -> Response {
-    let snap = state.snapshot();
-    let s = crowdweb_dataset::DatasetStats::compute(snap.dataset());
-    ok_json(&StatsDto {
-        total_checkins: s.total_checkins,
-        user_count: s.user_count,
-        venue_count: s.venue_count,
-        mean_records_per_user: s.mean_records_per_user,
-        median_records_per_user: s.median_records_per_user,
-        filtered_users: snap.prepared().user_count(),
-        study_window: snap.prepared().window().to_string(),
-        min_support: snap.min_support(),
+    state.view(View::Stats, |snap| {
+        let s = crowdweb_dataset::DatasetStats::compute(snap.dataset());
+        ok_json(&StatsDto {
+            total_checkins: s.total_checkins,
+            user_count: s.user_count,
+            venue_count: s.venue_count,
+            mean_records_per_user: s.mean_records_per_user,
+            median_records_per_user: s.median_records_per_user,
+            filtered_users: snap.prepared().user_count(),
+            study_window: snap.prepared().window().to_string(),
+            min_support: snap.min_support(),
+        })
     })
 }
 
@@ -1174,7 +1199,6 @@ struct SeriesDto {
 
 /// Computes a figure's data series against one snapshot.
 fn figure_series(snap: &PlatformSnapshot, id: &str) -> Option<SeriesDto> {
-    let db = snap.prepared().seqdb();
     let mine_all = |support: f64| -> Vec<UserPatterns> {
         PatternMiner::new(support)
             .expect("sweep supports are valid")
@@ -1244,11 +1268,16 @@ fn figure_series(snap: &PlatformSnapshot, id: &str) -> Option<SeriesDto> {
                 y: values,
             })
         }
-        _ => {
-            let _ = db;
-            None
-        }
+        _ => None,
     }
+}
+
+fn unknown_figure() -> Response {
+    error_envelope(
+        StatusCode::NotFound,
+        "unknown-figure",
+        "unknown figure (fig5..fig8)",
+    )
 }
 
 fn figure_data(
@@ -1257,15 +1286,13 @@ fn figure_data(
     _: &Request,
     params: &HashMap<String, String>,
 ) -> Response {
-    let snap = state.snapshot();
-    match figure_series(&snap, params.get("id").map(String::as_str).unwrap_or("")) {
-        Some(series) => ok_json(&series),
-        None => error_envelope(
-            StatusCode::NotFound,
-            "unknown-figure",
-            "unknown figure (fig5..fig8)",
-        ),
-    }
+    let id = params.get("id").map(String::as_str).unwrap_or("");
+    let Some(view) = View::figure(id, false) else {
+        return unknown_figure();
+    };
+    state.view(view, |snap| {
+        figure_series(snap, id).map_or_else(unknown_figure, |series| ok_json(&series))
+    })
 }
 
 fn figure_svg(
@@ -1275,15 +1302,20 @@ fn figure_svg(
     params: &HashMap<String, String>,
 ) -> Response {
     let id = params.get("id").map(String::as_str).unwrap_or("");
-    let snap = state.snapshot();
-    let Some(series) = figure_series(&snap, id) else {
-        return error_envelope(
-            StatusCode::NotFound,
-            "unknown-figure",
-            "unknown figure (fig5..fig8)",
-        );
+    let Some(view) = View::figure(id, true) else {
+        return unknown_figure();
     };
-    let svg = match id {
+    state.view(view, |snap| match figure_series(snap, id) {
+        Some(series) => Response::svg(figure_chart(id, &series)),
+        None => unknown_figure(),
+    })
+}
+
+/// Renders a figure's data series as its SVG chart: a line chart for
+/// the support sweeps (Figs 5 and 7), a histogram for the
+/// distributions (Figs 6 and 8).
+fn figure_chart(id: &str, series: &SeriesDto) -> String {
+    match id {
         "fig5" | "fig7" => {
             let points: Vec<(f64, f64)> = series
                 .x
@@ -1322,8 +1354,7 @@ fn figure_svg(
                 })
                 .render()
         }
-    };
-    Response::svg(svg)
+    }
 }
 
 #[derive(Serialize)]
@@ -1626,24 +1657,29 @@ fn hotspots(
     _: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let snap = state.snapshot();
-    match crowdweb_crowd::detect_hotspots(snap.crowd(), &crowdweb_crowd::HotspotConfig::default()) {
-        Ok(found) => {
-            let windows = snap.crowd().windows();
-            let rows: Vec<HotspotDto> = found
-                .into_iter()
-                .map(|h| HotspotDto {
-                    window: windows.get(h.window).map(|w| w.label()).unwrap_or_default(),
-                    cell: h.cell.0,
-                    users: h.count,
-                    z_score: h.z_score,
-                    phase: format!("{:?}", h.phase),
-                })
-                .collect();
-            ok_json(&rows)
-        }
-        Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
-    }
+    state.view(
+        View::Hotspots,
+        |snap| match crowdweb_crowd::detect_hotspots(
+            snap.crowd(),
+            &crowdweb_crowd::HotspotConfig::default(),
+        ) {
+            Ok(found) => {
+                let windows = snap.crowd().windows();
+                let rows: Vec<HotspotDto> = found
+                    .into_iter()
+                    .map(|h| HotspotDto {
+                        window: windows.get(h.window).map(|w| w.label()).unwrap_or_default(),
+                        cell: h.cell.0,
+                        users: h.count,
+                        z_score: h.z_score,
+                        phase: format!("{:?}", h.phase),
+                    })
+                    .collect();
+                ok_json(&rows)
+            }
+            Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
+        },
+    )
 }
 
 fn crowd_flows_map(
@@ -1692,12 +1728,20 @@ fn crowd_timeline(
     request: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    match crowd_view(state, request) {
-        Ok(model) => Response::svg(crowdweb_viz::render_crowd_timeline(
+    let render = |model: &CrowdModel| {
+        Response::svg(crowdweb_viz::render_crowd_timeline(
             &model.animation_frames(),
-        )),
-        Err(resp) => resp,
+        ))
+    };
+    // A time-travel read replays a retained epoch and bypasses the
+    // memo, which only ever holds the live epoch.
+    if request.query_param("epoch").is_some() {
+        return match crowd_view(state, request) {
+            Ok(model) => render(&model),
+            Err(resp) => resp,
+        };
     }
+    state.view(View::CrowdTimeline, |snap| render(snap.crowd()))
 }
 
 fn heatmap(
@@ -1706,12 +1750,13 @@ fn heatmap(
     _: &Request,
     _: &HashMap<String, String>,
 ) -> Response {
-    let snap = state.snapshot();
-    let profile = crowdweb_dataset::ActivityProfile::of_dataset(snap.dataset());
-    Response::svg(crowdweb_viz::render_activity_heatmap(
-        &profile,
-        "City activity rhythm (weekday x hour)",
-    ))
+    state.view(View::Heatmap, |snap| {
+        let profile = crowdweb_dataset::ActivityProfile::of_dataset(snap.dataset());
+        Response::svg(crowdweb_viz::render_activity_heatmap(
+            &profile,
+            "City activity rhythm (weekday x hour)",
+        ))
+    })
 }
 
 fn heatmap_user(
@@ -2164,6 +2209,10 @@ mod tests {
     fn metrics_endpoint_serves_valid_stable_prometheus_text() {
         let s = state();
         let r = build_router();
+        // One cold and one warm read of a memoized view.
+        for _ in 0..2 {
+            assert_eq!(get(&r, &s, "/api/v1/stats").0, 200);
+        }
         let req = Request::read_from("GET /api/metrics HTTP/1.1\r\n\r\n".as_bytes()).unwrap();
         let first = r.route(&s, &req);
         assert_eq!(first.status.code(), 200);
@@ -2188,6 +2237,13 @@ mod tests {
         assert!(text.contains("crowdweb_ingest_history_resident_bytes{kind=\"full\"}"));
         assert!(text.contains("crowdweb_ingest_history_resident_bytes{kind=\"delta\"} 0"));
         assert!(text.contains("crowdweb_ingest_history_reconstruction_seconds"));
+        // The per-epoch view memo counts hits and misses per view; its
+        // handles exist from the city's build on.
+        assert!(text.contains("crowdweb_http_view_memo_total{outcome=\"miss\",view=\"stats\"} 1"));
+        assert!(text.contains("crowdweb_http_view_memo_total{outcome=\"hit\",view=\"stats\"} 1"));
+        assert!(
+            text.contains("crowdweb_http_view_memo_total{outcome=\"miss\",view=\"fig5_svg\"} 0")
+        );
         // Deterministic ordering: a second scrape with unchanged state
         // is byte-identical.
         let second = r.route(&s, &req);

@@ -22,15 +22,16 @@
 //! everything reachable from it must stay `Sync`; a blocking handler
 //! occupies one worker, never the event thread.
 
+use crate::http::{Response, ResponseBody, StatusCode};
 use crowdweb_dataset::{Dataset, UserId};
 use crowdweb_ingest::{IngestConfig, PlatformSnapshot, ShardedIngestEngine};
 use crowdweb_mobility::{PatternMiner, UserPatterns};
-use crowdweb_obs::MetricsRegistry;
+use crowdweb_obs::{Counter, MetricsRegistry};
 use crowdweb_prep::{LabelScheme, Preprocessor, WindowChoice};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A mined upload from a booth visitor ("if any audience member is
 /// willing to share their check-in history, we can upload it to the
@@ -72,6 +73,207 @@ struct UploadRing {
     entries: VecDeque<(u64, UploadResult)>,
 }
 
+/// A page-load view the [`ViewMemo`] keeps one rendered body of per
+/// epoch. The set is closed and query strings never take part in the
+/// key, so a city's memo holds at most `View::ALL.len()` bodies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum View {
+    Stats,
+    Heatmap,
+    Hotspots,
+    CrowdTimeline,
+    Fig5,
+    Fig6,
+    Fig7,
+    Fig8,
+    Fig5Svg,
+    Fig6Svg,
+    Fig7Svg,
+    Fig8Svg,
+}
+
+impl View {
+    /// Every view, in discriminant order (the memo's cell index).
+    const ALL: [View; 12] = [
+        View::Stats,
+        View::Heatmap,
+        View::Hotspots,
+        View::CrowdTimeline,
+        View::Fig5,
+        View::Fig6,
+        View::Fig7,
+        View::Fig8,
+        View::Fig5Svg,
+        View::Fig6Svg,
+        View::Fig7Svg,
+        View::Fig8Svg,
+    ];
+
+    /// The view's `view` label on `crowdweb_http_view_memo_total`.
+    fn label(self) -> &'static str {
+        match self {
+            View::Stats => "stats",
+            View::Heatmap => "heatmap",
+            View::Hotspots => "hotspots",
+            View::CrowdTimeline => "crowd_timeline",
+            View::Fig5 => "fig5",
+            View::Fig6 => "fig6",
+            View::Fig7 => "fig7",
+            View::Fig8 => "fig8",
+            View::Fig5Svg => "fig5_svg",
+            View::Fig6Svg => "fig6_svg",
+            View::Fig7Svg => "fig7_svg",
+            View::Fig8Svg => "fig8_svg",
+        }
+    }
+
+    /// The figure view for a `figures/:id` (`svg = false`) or
+    /// `figures/:id/svg` request; `None` for an unknown figure id.
+    pub(crate) fn figure(id: &str, svg: bool) -> Option<View> {
+        Some(match (id, svg) {
+            ("fig5", false) => View::Fig5,
+            ("fig6", false) => View::Fig6,
+            ("fig7", false) => View::Fig7,
+            ("fig8", false) => View::Fig8,
+            ("fig5", true) => View::Fig5Svg,
+            ("fig6", true) => View::Fig6Svg,
+            ("fig7", true) => View::Fig7Svg,
+            ("fig8", true) => View::Fig8Svg,
+            _ => return None,
+        })
+    }
+}
+
+/// A rendered `200` body as the memo stores it.
+struct ViewBody {
+    content_type: String,
+    bytes: Vec<u8>,
+}
+
+impl ViewBody {
+    /// The storable part of a rendered response: only a `200` with a
+    /// materialized body. An error envelope is never stored.
+    fn of(response: &Response) -> Option<ViewBody> {
+        match &response.body {
+            ResponseBody::Full(bytes) if response.status == StatusCode::Ok => Some(ViewBody {
+                content_type: response.content_type.clone(),
+                bytes: bytes.clone(),
+            }),
+            _ => None,
+        }
+    }
+
+    fn response(&self) -> Response {
+        Response {
+            status: StatusCode::Ok,
+            content_type: self.content_type.clone(),
+            retry_after: None,
+            etag: None,
+            body: ResponseBody::Full(self.bytes.clone()),
+        }
+    }
+}
+
+/// The bodies rendered at one epoch: one cell per [`View`], each
+/// initialized at most once. A cell holding `None` marks a view whose
+/// render failed at this epoch; its error is rendered afresh on every
+/// request and never stored.
+struct EpochViews {
+    epoch: u64,
+    cells: [OnceLock<Option<ViewBody>>; View::ALL.len()],
+}
+
+impl EpochViews {
+    fn new(epoch: u64) -> EpochViews {
+        EpochViews {
+            epoch,
+            cells: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+}
+
+/// The `hit`/`miss` handles of one view's memo counter.
+struct MemoCounters {
+    hit: Counter,
+    miss: Counter,
+}
+
+/// A city's lazy per-epoch view memo.
+///
+/// The memo holds one [`EpochViews`] slot, for the newest epoch any
+/// request has served. The lock guards only the slot pointer: it is
+/// held to read or swap the `Arc`, never while a view renders, so a
+/// slow figure never blocks a hit on another view. Within a slot each
+/// view renders at most once (the cell's `OnceLock` makes concurrent
+/// cold requests wait for the one render). A request at a newer epoch
+/// replaces the slot, dropping the old bodies; a request holding an
+/// older snapshot than the slot's renders without storing, so an older
+/// epoch never replaces a newer one.
+pub(crate) struct ViewMemo {
+    slot: Mutex<Arc<EpochViews>>,
+    counters: [MemoCounters; View::ALL.len()],
+}
+
+impl ViewMemo {
+    fn new(metrics: &MetricsRegistry) -> ViewMemo {
+        let counter = |view: View, outcome: &str| {
+            metrics.counter(
+                "crowdweb_http_view_memo_total",
+                "Page-load view requests answered from the per-epoch memo (hit) or rendered (miss).",
+                &[("view", view.label()), ("outcome", outcome)],
+            )
+        };
+        ViewMemo {
+            slot: Mutex::new(Arc::new(EpochViews::new(0))),
+            counters: View::ALL.map(|view| MemoCounters {
+                hit: counter(view, "hit"),
+                miss: counter(view, "miss"),
+            }),
+        }
+    }
+
+    /// The slot for `epoch`, replacing the current one when `epoch` is
+    /// newer; `None` when the slot already holds a newer epoch.
+    fn slot_for(&self, epoch: u64) -> Option<Arc<EpochViews>> {
+        let mut slot = self.slot.lock();
+        if slot.epoch < epoch {
+            *slot = Arc::new(EpochViews::new(epoch));
+        }
+        (slot.epoch == epoch).then(|| Arc::clone(&slot))
+    }
+
+    /// `view` at `epoch`: the stored body when there is one, else
+    /// `render()`, stored when it is a `200`.
+    fn serve(&self, epoch: u64, view: View, render: impl Fn() -> Response) -> Response {
+        let counters = &self.counters[view as usize];
+        let Some(slot) = self.slot_for(epoch) else {
+            counters.miss.inc();
+            return render();
+        };
+        let mut rendered = None;
+        let stored = slot.cells[view as usize].get_or_init(|| {
+            let response = render();
+            let body = ViewBody::of(&response);
+            rendered = Some(response);
+            body
+        });
+        match (rendered, stored) {
+            (Some(response), _) => {
+                counters.miss.inc();
+                response
+            }
+            (None, Some(body)) => {
+                counters.hit.inc();
+                body.response()
+            }
+            (None, None) => {
+                counters.miss.inc();
+                render()
+            }
+        }
+    }
+}
+
 /// One city's platform: a live [`ShardedIngestEngine`] publishing
 /// epoch snapshots, plus a capped ring of recent visitor uploads.
 ///
@@ -83,6 +285,7 @@ pub struct CityState {
     id: String,
     engine: ShardedIngestEngine,
     uploads: RwLock<UploadRing>,
+    views: ViewMemo,
 }
 
 impl std::fmt::Debug for CityState {
@@ -100,11 +303,13 @@ impl std::fmt::Debug for CityState {
 
 impl CityState {
     fn open(id: &str, dataset: Dataset, config: IngestConfig) -> Result<CityState, Box<dyn Error>> {
+        let views = ViewMemo::new(&config.metrics.clone().unwrap_or_default());
         let engine = ShardedIngestEngine::open(dataset, config)?;
         Ok(CityState {
             id: id.to_owned(),
             engine,
             uploads: RwLock::new(UploadRing::default()),
+            views,
         })
     }
 
@@ -117,6 +322,18 @@ impl CityState {
     /// one per request and serve everything from it.
     pub fn snapshot(&self) -> Arc<PlatformSnapshot> {
         self.engine.snapshot()
+    }
+
+    /// Serves `view` from the city's current snapshot through the
+    /// per-epoch [`ViewMemo`]: the body stored at the snapshot's epoch
+    /// when there is one, else `render(snapshot)`.
+    pub(crate) fn view(
+        &self,
+        view: View,
+        render: impl Fn(&PlatformSnapshot) -> Response,
+    ) -> Response {
+        let snap = self.snapshot();
+        self.views.serve(snap.epoch(), view, || render(&snap))
     }
 
     /// The city's live sharded ingest engine (submit, epochs, stats).
@@ -560,6 +777,47 @@ mod tests {
         assert!(dir.join("berlin").join("shard-0").is_dir());
         assert!(dir.join("berlin").join("shard-1").is_dir());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn view_memo_keeps_the_newest_epoch_and_never_stores_errors() {
+        let metrics = MetricsRegistry::new();
+        let memo = ViewMemo::new(&metrics);
+        let renders = std::cell::Cell::new(0);
+        let render = |body: &str| {
+            renders.set(renders.get() + 1);
+            Response::json(body.to_owned())
+        };
+        let serve = |epoch: u64, body: &str| {
+            let resp = memo.serve(epoch, View::Stats, || render(body));
+            String::from_utf8(resp.into_body_bytes()).unwrap()
+        };
+        assert_eq!(serve(2, "two"), "two");
+        assert_eq!(serve(2, "ignored"), "two", "a hit replays the stored body");
+        // An older snapshot renders without storing or replacing.
+        assert_eq!(serve(1, "one"), "one");
+        assert_eq!(serve(2, "ignored"), "two");
+        // A newer epoch replaces the slot.
+        assert_eq!(serve(3, "three"), "three");
+        assert_eq!(serve(3, "ignored"), "three");
+        assert_eq!(renders.get(), 3);
+        // Errors are rendered afresh on every request.
+        for _ in 0..2 {
+            let resp = memo.serve(3, View::Hotspots, || {
+                Response::error(StatusCode::InternalServerError, "boom")
+            });
+            assert_eq!(resp.status, StatusCode::InternalServerError);
+        }
+        let count = |view: &str, outcome: &str| {
+            metrics.counter_value(
+                "crowdweb_http_view_memo_total",
+                &[("view", view), ("outcome", outcome)],
+            )
+        };
+        assert_eq!(count("stats", "miss"), Some(3));
+        assert_eq!(count("stats", "hit"), Some(3));
+        assert_eq!(count("hotspots", "miss"), Some(2));
+        assert_eq!(count("hotspots", "hit"), Some(0));
     }
 
     #[test]

@@ -124,4 +124,9 @@ grep -qF 'crowdweb-loadgen run' README.md || {
     exit 1
 }
 
+echo "== benchmark gate =="
+# perfbench (BENCHMARK.json) links crates/* by path: a program change
+# that breaks the benchmark's build or its own tests fails here.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."
