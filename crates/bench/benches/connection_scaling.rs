@@ -2,13 +2,11 @@
 //!
 //! Two experiments, one TSV (`out/connection_scaling.tsv`):
 //!
-//! **S2a (slow-drip)** — the evented reactor vs the old
-//! thread-per-connection pool under slowloris load. A legacy
-//! thread-per-connection server (rebuilt inline from the same public
-//! pieces) must wait for slow clients to time out in worker-sized waves
-//! before a fast client gets through; the reactor multiplexes every
-//! connection on one event thread, so time-to-first-response stays flat
-//! in the number of slow-drip connections.
+//! **S2a (slow-drip)** — the evented reactor under slowloris load. The
+//! reactor multiplexes every connection on one event thread, so a fast
+//! client's time-to-first-response stays flat in the number of
+//! slow-drip connections. (The thread-per-connection baseline it once
+//! ran against is recorded in EXPERIMENTS.md S1.)
 //!
 //! **S2b (keep-alive gate)** — the ISSUE 8 acceptance run: hold
 //! thousands of primed keep-alive connections (10k by default) against
@@ -23,18 +21,13 @@
 //! `CROWDWEB_SCALE_ONLY=1` skips S2a (the CI spot check uses both).
 
 use crowdweb_bench::banner;
-use crowdweb_exec::WorkerPool;
-use crowdweb_server::{api, sys, AppState, Request, Router, Server};
+use crowdweb_server::{sys, AppState, Server};
 use crowdweb_synth::SynthConfig;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const DRIP_COUNTS: [usize; 3] = [0, 8, 64];
-const READ_TIMEOUT: Duration = Duration::from_millis(300);
 const FAST_REQUESTS: usize = 32;
 const PROBES: usize = 200;
 /// Fds held back from the limit for the binary itself (stdio, the
@@ -103,39 +96,6 @@ fn http_get(addr: SocketAddr, path: &str) -> u16 {
         .unwrap_or(0)
 }
 
-/// The pre-reactor server shape: one blocking accept loop feeding whole
-/// sockets to a bounded worker pool, slow clients reaped only by the
-/// per-socket read timeout.
-fn spawn_threadpool(state: Arc<AppState>) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&stop);
-    let join = std::thread::spawn(move || {
-        let router = Arc::new(api::build_router());
-        let pool = WorkerPool::new(8, 32);
-        for stream in listener.incoming() {
-            if flag.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let state = Arc::clone(&state);
-            let router: Arc<Router<AppState>> = Arc::clone(&router);
-            // `execute` blocks when the queue is full — exactly the old
-            // accept-loop behaviour under pressure.
-            pool.execute(move || {
-                let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-                if let Ok(request) = Request::read_from(&stream) {
-                    let (response, _) = router.dispatch(&state, &request);
-                    let _ = response.write_to(&stream);
-                }
-            });
-        }
-        drop(pool);
-    });
-    (addr, stop, join)
-}
-
 /// Opens `n` connections that drip a partial request head and hold the
 /// socket open.
 fn open_drips(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
@@ -173,20 +133,6 @@ fn drip_section(rows: &mut Vec<String>) {
     );
     rows.push("# S2a: fast-client latency vs slow-drip connection count".to_owned());
     rows.push("model\tslow_conns\tfirst_response_us\trequests\ttotal_us\treq_per_s".to_owned());
-    for drips in DRIP_COUNTS {
-        let (addr, stop, join) = spawn_threadpool(Arc::new(app_state()));
-        let (first, total, rps) = measure(addr, drips);
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr); // poke the blocking accept
-        join.join().unwrap();
-        println!(
-            "{:>12} {drips:>12} {first:>18} {FAST_REQUESTS:>10} {total:>12} {rps:>10.0}",
-            "threadpool"
-        );
-        rows.push(format!(
-            "threadpool\t{drips}\t{first}\t{FAST_REQUESTS}\t{total}\t{rps:.0}"
-        ));
-    }
     for drips in DRIP_COUNTS {
         let (addr, handle, join) = Server::bind("127.0.0.1:0", app_state())
             .unwrap()

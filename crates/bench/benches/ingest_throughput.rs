@@ -1,6 +1,8 @@
 //! **Ingest I1** — live ingestion throughput: incremental epoch latency
 //! vs a cold pipeline rebuild over the merged dataset, across batch
-//! sizes, plus durable (WAL-backed) submit throughput.
+//! sizes and shard counts, plus durable (per-shard WAL) submit
+//! throughput. Unless a row names its shard count, the engine runs
+//! with the default one shard per available core, like the server.
 //!
 //! The incremental path re-prepares, re-mines, and re-places only the
 //! users touched by the batch (`tests/ingest_determinism.rs` asserts the
@@ -15,7 +17,7 @@ use crowdweb_crowd::{PipelineDriver, TimeWindows};
 use crowdweb_dataset::{Dataset, MergeRecord, Timestamp};
 use crowdweb_exec::Parallelism;
 use crowdweb_geo::BoundingBox;
-use crowdweb_ingest::{IngestConfig, IngestEngine, ShardedIngestEngine, WalConfig};
+use crowdweb_ingest::{IngestConfig, IngestEngine, WalConfig};
 use crowdweb_prep::Preprocessor;
 use std::hint::black_box;
 use std::time::Instant;
@@ -99,11 +101,11 @@ fn bench(c: &mut Criterion) {
         ));
     }
 
-    // Sharded epoch latency: the same 256-record batch through the
-    // sharded engine at shard counts 1, 2, 4. Fan-out parallelism only
-    // helps with >1 CPU; on a single core expect rough parity with a
-    // small coordination overhead (snapshots are byte-identical either
-    // way — `tests/ingest_determinism.rs`).
+    // Epoch latency by shard count: the same 256-record batch at 1, 2
+    // and 4 shards. Fan-out parallelism only helps with >1 CPU; on a
+    // single core expect rough parity with a small coordination
+    // overhead (snapshots are byte-identical either way —
+    // `tests/ingest_determinism.rs`).
     println!(
         "\n{:>8} {:>10} {:>12} {:>12}",
         "shards", "remined", "epoch_us", "mode"
@@ -112,7 +114,7 @@ fn bench(c: &mut Criterion) {
         let records = batch(&ctx.dataset, 256);
         let mut cfg = config();
         cfg.shards = shards;
-        let engine = ShardedIngestEngine::open(ctx.dataset.clone(), cfg).unwrap();
+        let engine = IngestEngine::open(ctx.dataset.clone(), cfg).unwrap();
         engine.submit(records).unwrap();
         let t0 = Instant::now();
         let report = engine.run_epoch().unwrap().expect("non-empty queue");
@@ -128,7 +130,8 @@ fn bench(c: &mut Criterion) {
         ));
     }
 
-    // Durable submit throughput: records/s through queue + fsynced WAL.
+    // Durable submit throughput: records/s through queue + fsynced
+    // per-shard WALs.
     let wal_dir = std::env::temp_dir().join(format!("crowdweb-bench-wal-{}", std::process::id()));
     std::fs::remove_dir_all(&wal_dir).ok();
     let mut cfg = config();

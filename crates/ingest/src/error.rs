@@ -28,21 +28,6 @@ pub enum IngestError {
     Dataset(DatasetError),
     /// Rebuilding the snapshot pipeline failed.
     Pipeline(PipelineError),
-    /// An inline epoch failed *after* the submitted batch was accepted
-    /// (durably logged and queued). The batch is still held by the
-    /// engine — queued for the next epoch, or already applied if only
-    /// the post-publish checkpoint failed — so the client must **not**
-    /// re-submit it; doing so would double-apply every record.
-    EpochFailed {
-        /// Records of the triggering batch that were accepted.
-        accepted: usize,
-        /// Sequence number of the first accepted record.
-        first_seq: u64,
-        /// Sequence number of the last accepted record.
-        last_seq: u64,
-        /// Why the inline epoch failed.
-        source: Box<IngestError>,
-    },
 }
 
 impl fmt::Display for IngestError {
@@ -60,16 +45,6 @@ impl fmt::Display for IngestError {
             IngestError::Corrupt(msg) => write!(f, "write-ahead log corrupt: {msg}"),
             IngestError::Dataset(e) => write!(f, "merging ingested records failed: {e}"),
             IngestError::Pipeline(e) => write!(f, "snapshot pipeline failed: {e}"),
-            IngestError::EpochFailed {
-                accepted,
-                first_seq,
-                last_seq,
-                source,
-            } => write!(
-                f,
-                "inline epoch failed after accepting {accepted} records \
-                 (seq {first_seq}..={last_seq}; do not re-submit): {source}"
-            ),
         }
     }
 }
@@ -80,7 +55,6 @@ impl Error for IngestError {
             IngestError::Wal(e) => Some(e),
             IngestError::Dataset(e) => Some(e),
             IngestError::Pipeline(e) => Some(e),
-            IngestError::EpochFailed { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

@@ -24,11 +24,10 @@
 //!    ingestion and never observe a half-updated pipeline.
 //! 4. **Observability** ([`stats`]) — [`IngestEngine::stats`] reports
 //!    queue depth, WAL bytes, epoch latency, and re-mine counts.
-//! 5. **Sharding** ([`shard`]) — [`ShardedIngestEngine`] partitions
-//!    the queue, the WAL, and the per-epoch dirty set across
-//!    `hash(user) % N` shards so epoch re-mining fans out per shard,
-//!    while a global sequence counter keeps snapshots byte-identical
-//!    to the unsharded engine for any shard count.
+//! 5. **Sharding** ([`shard`]) — the engine partitions the queue, the
+//!    WAL, and the per-epoch dirty set across `hash(user) % N` shards
+//!    so epoch re-mining fans out per shard, while a global sequence
+//!    counter keeps snapshots byte-identical for any shard count.
 //! 6. **Epoch history** ([`history`]) — each published epoch is also
 //!    recorded in a bounded [`CrowdHistory`] ring as either a shared
 //!    full checkpoint or a [`CrowdSplice`](crowdweb_crowd::CrowdSplice)
@@ -90,9 +89,7 @@ pub mod wal;
 pub use engine::{IngestConfig, IngestEngine};
 pub use error::IngestError;
 pub use history::{CrowdHistory, EpochInfo, EpochRecord, EpochRepr};
-pub use shard::{effective_shards, shard_of, ShardedIngestEngine, MAX_SHARDS};
+pub use shard::{effective_shards, shard_of, MAX_SHARDS};
 pub use snapshot::PlatformSnapshot;
-pub use stats::{
-    EpochMode, EpochReport, IngestStats, ShardStats, ShardedIngestStats, SubmitReceipt,
-};
+pub use stats::{EpochMode, EpochReport, IngestStats, ShardStats, SubmitReceipt};
 pub use wal::{Wal, WalConfig, WalEntry, WalRecovery};

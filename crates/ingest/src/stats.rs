@@ -41,12 +41,9 @@ pub struct SubmitReceipt {
     pub last_seq: u64,
     /// Queue depth right after the batch was enqueued.
     pub queue_depth: usize,
-    /// Present when the submit tripped the auto-epoch threshold and an
-    /// epoch ran inline.
-    pub epoch: Option<EpochReport>,
 }
 
-/// One shard's slice of [`ShardedIngestStats`].
+/// One shard's slice of [`IngestStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ShardStats {
     /// Shard index (`hash(user) % shard_count`).
@@ -69,11 +66,10 @@ pub struct ShardStats {
     pub wal_checkpoint_bytes: u64,
 }
 
-/// Point-in-time statistics of the sharded engine
-/// (`GET /api/v1/ingest/stats`): engine-wide totals plus one
-/// [`ShardStats`] row per shard.
+/// Point-in-time ingest statistics (`GET /api/v1/ingest/stats`):
+/// engine-wide totals plus one [`ShardStats`] row per shard.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ShardedIngestStats {
+pub struct IngestStats {
     /// Current published epoch.
     pub epoch: u64,
     /// Epochs currently retained by the history ring (scrubbable via
@@ -105,36 +101,4 @@ pub struct ShardedIngestStats {
     pub last_epoch: Option<EpochReport>,
     /// Per-shard breakdown, indexed by shard.
     pub shards: Vec<ShardStats>,
-}
-
-/// Point-in-time ingest statistics (`GET /api/ingest/stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct IngestStats {
-    /// Current published epoch.
-    pub epoch: u64,
-    /// Epochs currently retained by the history ring (scrubbable via
-    /// `?epoch=N`).
-    pub history_depth: usize,
-    /// The history ring's retention capacity.
-    pub history_capacity: usize,
-    /// Records waiting in the queue.
-    pub queue_depth: usize,
-    /// The queue's capacity.
-    pub queue_capacity: usize,
-    /// Records accepted since the engine opened.
-    pub total_accepted: u64,
-    /// Records applied to a snapshot since the engine opened.
-    pub total_applied: u64,
-    /// Whether a write-ahead log is configured.
-    pub durable: bool,
-    /// Live WAL segment bytes (un-checkpointed tail).
-    pub wal_segment_bytes: u64,
-    /// Bytes of the current WAL checkpoint.
-    pub wal_checkpoint_bytes: u64,
-    /// Epochs run since the engine opened.
-    pub epochs_run: u64,
-    /// How many of those fell back to a full pipeline rebuild.
-    pub full_rebuilds: u64,
-    /// The most recent epoch, if any has run.
-    pub last_epoch: Option<EpochReport>,
 }

@@ -4,7 +4,7 @@
 //! reroute after a restart would orphan them.
 
 use crowdweb_dataset::{Dataset, MergeRecord, Timestamp, UserId};
-use crowdweb_ingest::{shard_of, IngestConfig, ShardedIngestEngine, Wal, WalConfig, MAX_SHARDS};
+use crowdweb_ingest::{shard_of, IngestConfig, IngestEngine, Wal, WalConfig, MAX_SHARDS};
 use proptest::prelude::*;
 
 proptest! {
@@ -83,12 +83,12 @@ fn restart_preserves_on_disk_routing() {
     config.wal = Some(WalConfig::new(&dir));
     let records;
     {
-        let engine = ShardedIngestEngine::open(base(), config.clone()).unwrap();
+        let engine = IngestEngine::open(base(), config.clone()).unwrap();
         records = shifted_records(engine.snapshot().dataset(), 16);
         engine.submit(records.clone()).unwrap();
         engine.run_epoch().unwrap().unwrap();
     } // crash
-    let engine = ShardedIngestEngine::open(base(), config).unwrap();
+    let engine = IngestEngine::open(base(), config).unwrap();
     for k in 0..engine.shard_count() {
         let shard_config = WalConfig::new(dir.join(format!("shard-{k}")));
         let (_, recovery) = Wal::open(&shard_config).unwrap();

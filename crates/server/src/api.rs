@@ -1543,15 +1543,6 @@ fn checkins_submit(
             error_envelope(StatusCode::ServiceUnavailable, "queue-full", &e.to_string())
                 .with_retry_after(RETRY_AFTER_SECS)
         }
-        // The batch was accepted and logged but the inline epoch
-        // failed: the records are durable, so the client must NOT
-        // re-submit — a distinct code makes that distinguishable from
-        // a rejected batch.
-        Err(e @ IngestError::EpochFailed { .. }) => error_envelope(
-            StatusCode::InternalServerError,
-            "epoch-failed",
-            &e.to_string(),
-        ),
         Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
     }
 }

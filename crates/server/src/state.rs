@@ -24,7 +24,7 @@
 
 use crate::http::{Response, ResponseBody, StatusCode};
 use crowdweb_dataset::{Dataset, UserId};
-use crowdweb_ingest::{IngestConfig, PlatformSnapshot, ShardedIngestEngine};
+use crowdweb_ingest::{IngestConfig, IngestEngine, PlatformSnapshot};
 use crowdweb_mobility::{PatternMiner, UserPatterns};
 use crowdweb_obs::{Counter, MetricsRegistry};
 use crowdweb_prep::{LabelScheme, Preprocessor, WindowChoice};
@@ -274,16 +274,16 @@ impl ViewMemo {
     }
 }
 
-/// One city's platform: a live [`ShardedIngestEngine`] publishing
-/// epoch snapshots, plus a capped ring of recent visitor uploads.
+/// One city's platform: a live [`IngestEngine`] publishing epoch
+/// snapshots, plus a capped ring of recent visitor uploads.
 ///
-/// The ingest queue and WAL are partitioned across user-id-range
-/// shards (`IngestConfig::shards`; 0 = one per available core), so
-/// epoch re-mining fans out per shard while snapshots stay
-/// byte-identical to an unsharded engine.
+/// The engine partitions its queue and WAL across user-id-range shards
+/// (`IngestConfig::shards`; 0 = one per available core), so epoch
+/// re-mining fans out per shard while every published snapshot stays
+/// byte-identical to a cold rebuild over the merged dataset.
 pub struct CityState {
     id: String,
-    engine: ShardedIngestEngine,
+    engine: IngestEngine,
     uploads: RwLock<UploadRing>,
     views: ViewMemo,
 }
@@ -304,7 +304,7 @@ impl std::fmt::Debug for CityState {
 impl CityState {
     fn open(id: &str, dataset: Dataset, config: IngestConfig) -> Result<CityState, Box<dyn Error>> {
         let views = ViewMemo::new(&config.metrics.clone().unwrap_or_default());
-        let engine = ShardedIngestEngine::open(dataset, config)?;
+        let engine = IngestEngine::open(dataset, config)?;
         Ok(CityState {
             id: id.to_owned(),
             engine,
@@ -336,8 +336,8 @@ impl CityState {
         self.views.serve(snap.epoch(), view, || render(&snap))
     }
 
-    /// The city's live sharded ingest engine (submit, epochs, stats).
-    pub fn engine(&self) -> &ShardedIngestEngine {
+    /// The city's live ingest engine (submit, epochs, stats).
+    pub fn engine(&self) -> &IngestEngine {
         &self.engine
     }
 
@@ -561,8 +561,8 @@ impl AppState {
         self.default_city().snapshot()
     }
 
-    /// The **default city's** live sharded ingest engine.
-    pub fn engine(&self) -> &ShardedIngestEngine {
+    /// The **default city's** live ingest engine.
+    pub fn engine(&self) -> &IngestEngine {
         self.default_city().engine()
     }
 

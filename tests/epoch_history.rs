@@ -6,7 +6,7 @@
 //! ever narrow the retained range from the oldest end.
 
 use crowdweb::dataset::MergeRecord;
-use crowdweb::ingest::{IngestConfig, IngestEngine, ShardedIngestEngine};
+use crowdweb::ingest::{IngestConfig, IngestEngine};
 use crowdweb::prelude::*;
 
 fn config(parallelism: Parallelism) -> IngestConfig {
@@ -63,46 +63,8 @@ fn crowd_json(model: &CrowdModel) -> String {
 }
 
 #[test]
-fn materialized_epochs_match_cold_rebuilds() {
+fn sharded_history_matches_cold_rebuilds() {
     const EPOCHS: usize = 6;
-    for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let base = SynthConfig::small(71).generate().unwrap();
-        let batches = batches(&base, EPOCHS);
-
-        let engine = IngestEngine::open(base.clone(), config(parallelism)).unwrap();
-        for batch in &batches {
-            engine.submit(batch.clone()).unwrap();
-            engine.run_epoch().unwrap().expect("non-empty queue");
-        }
-        assert_eq!(engine.epoch(), EPOCHS as u64);
-        assert_eq!(engine.history().retained(), (0, EPOCHS as u64));
-
-        // Epoch N == a cold rebuild over base + the first N batches.
-        let mut applied: Vec<MergeRecord> = Vec::new();
-        for n in 0..=EPOCHS {
-            if n > 0 {
-                applied.extend(batches[n - 1].iter().cloned());
-            }
-            let merged = base.merge_records(&applied).unwrap();
-            let out = cold(&merged, parallelism);
-            let got = engine.crowd_at(n as u64).expect("epoch retained");
-            assert_eq!(
-                crowd_json(&got),
-                crowd_json(&out.crowd),
-                "{parallelism:?}: epoch {n} diverged from its cold rebuild"
-            );
-        }
-        // The newest materialization IS the live model.
-        assert_eq!(
-            crowd_json(&engine.crowd_at(EPOCHS as u64).unwrap()),
-            crowd_json(engine.snapshot().crowd())
-        );
-    }
-}
-
-#[test]
-fn sharded_history_matches_unsharded_and_cold_rebuilds() {
-    const EPOCHS: usize = 5;
     for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
         let base = SynthConfig::small(71).generate().unwrap();
         let batches = batches(&base, EPOCHS);
@@ -111,11 +73,13 @@ fn sharded_history_matches_unsharded_and_cold_rebuilds() {
         for shards in [1usize, 4] {
             let mut cfg = config(parallelism);
             cfg.shards = shards;
-            let engine = ShardedIngestEngine::open(base.clone(), cfg).unwrap();
+            let engine = IngestEngine::open(base.clone(), cfg).unwrap();
             for batch in &batches {
                 engine.submit(batch.clone()).unwrap();
                 engine.run_epoch().unwrap().expect("non-empty queue");
             }
+            assert_eq!(engine.epoch(), EPOCHS as u64);
+            assert_eq!(engine.history().retained(), (0, EPOCHS as u64));
             engines.push((shards, engine));
         }
 
@@ -134,6 +98,13 @@ fn sharded_history_matches_unsharded_and_cold_rebuilds() {
                     "{parallelism:?}: epoch {n} diverged at {shards} shards"
                 );
             }
+        }
+        // The newest materialization IS the live model.
+        for (_, engine) in &engines {
+            assert_eq!(
+                crowd_json(&engine.crowd_at(EPOCHS as u64).unwrap()),
+                crowd_json(engine.snapshot().crowd())
+            );
         }
     }
 }

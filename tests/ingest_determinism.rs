@@ -1,10 +1,11 @@
 //! End-to-end guarantees of the live ingestion subsystem: an epoch
 //! snapshot is byte-identical to a cold pipeline build over the merged
-//! dataset (under any parallelism policy), epochs chain, and WAL
-//! recovery — including a torn final record — reaches the same state.
+//! dataset (under any parallelism policy and any shard count), epochs
+//! chain, and WAL recovery — including a torn final record — reaches
+//! the same state.
 
 use crowdweb::dataset::MergeRecord;
-use crowdweb::ingest::{shard_of, IngestConfig, IngestEngine, ShardedIngestEngine, WalConfig};
+use crowdweb::ingest::{shard_of, IngestConfig, IngestEngine, WalConfig};
 use crowdweb::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,33 +64,7 @@ fn crowd_json(model: &CrowdModel) -> String {
 }
 
 #[test]
-fn epoch_snapshot_is_byte_identical_to_cold_build() {
-    for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
-        let base = SynthConfig::small(71).generate().unwrap();
-        let records = shifted_records(&base, 3600, 40);
-        let merged = base.merge_records(&records).unwrap();
-
-        let engine = IngestEngine::open(base, config(parallelism)).unwrap();
-        engine.submit(records).unwrap();
-        engine.run_epoch().unwrap().expect("non-empty queue");
-        let snap = engine.snapshot();
-
-        let out = cold(&merged, parallelism);
-        assert_eq!(
-            crowd_json(snap.crowd()),
-            crowd_json(&out.crowd),
-            "{parallelism:?} crowd"
-        );
-        assert_eq!(
-            serde_json::to_string(snap.patterns()).unwrap(),
-            serde_json::to_string(&out.patterns).unwrap(),
-            "{parallelism:?} patterns"
-        );
-    }
-}
-
-#[test]
-fn sharded_snapshots_match_unsharded_and_cold_build() {
+fn sharded_snapshots_match_cold_build() {
     // The tentpole determinism criterion: shards(4) == shards(1) ==
     // cold rebuild, byte for byte, under Sequential and Threads(4).
     for parallelism in [Parallelism::Sequential, Parallelism::Threads(4)] {
@@ -102,7 +77,7 @@ fn sharded_snapshots_match_unsharded_and_cold_build() {
         for shards in [4usize, 1] {
             let mut cfg = config(parallelism);
             cfg.shards = shards;
-            let engine = ShardedIngestEngine::open(base.clone(), cfg).unwrap();
+            let engine = IngestEngine::open(base.clone(), cfg).unwrap();
             assert_eq!(engine.shard_count(), shards);
             engine.submit(records.clone()).unwrap();
             engine.run_epoch().unwrap().expect("non-empty queue");
@@ -249,7 +224,7 @@ fn torn_shard_tail_leaves_other_shards_intact() {
     let mut cfg = config(Parallelism::Sequential);
     cfg.shards = SHARDS;
     cfg.wal = Some(WalConfig::new(&dir));
-    let engine = ShardedIngestEngine::open(base.clone(), cfg.clone()).unwrap();
+    let engine = IngestEngine::open(base.clone(), cfg.clone()).unwrap();
     engine.submit(records.clone()).unwrap();
     // Crash before any epoch: everything lives only in the shard WALs.
     drop(engine);
@@ -275,7 +250,7 @@ fn torn_shard_tail_leaves_other_shards_intact() {
     f.set_len(len - 3).unwrap();
     drop(f);
 
-    let engine = ShardedIngestEngine::open(base.clone(), cfg).unwrap();
+    let engine = IngestEngine::open(base.clone(), cfg).unwrap();
     let survivors: Vec<MergeRecord> = records
         .iter()
         .enumerate()
@@ -302,12 +277,13 @@ fn torn_wal_tail_recovers_the_intact_prefix() {
     let base = SynthConfig::small(74).generate().unwrap();
     let records = shifted_records(&base, 3600, 12);
     let mut cfg = config(Parallelism::Sequential);
+    cfg.shards = 1;
     cfg.wal = Some(WalConfig::new(&dir));
     let engine = IngestEngine::open(base.clone(), cfg.clone()).unwrap();
     engine.submit(records.clone()).unwrap();
     // Crash before any epoch, then tear the final record's frame.
     drop(engine);
-    let mut segs: Vec<PathBuf> = std::fs::read_dir(&dir)
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(dir.join("shard-0"))
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())

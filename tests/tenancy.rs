@@ -12,7 +12,7 @@
 //!   crowd-model backing test in `crowdweb-crowd`.)
 
 use crowdweb::dataset::MergeRecord;
-use crowdweb::ingest::{IngestConfig, ShardedIngestEngine, WalConfig};
+use crowdweb::ingest::{IngestConfig, IngestEngine, WalConfig};
 use crowdweb::prelude::*;
 use crowdweb_server::Server;
 use std::io::{Read, Write};
@@ -280,7 +280,7 @@ fn retained_epochs_identical_on_sparse_grids_across_policies() {
             cfg.grid_cols = 8192;
             cfg.parallelism = parallelism;
             cfg.shards = shards;
-            let engine = ShardedIngestEngine::open(base.clone(), cfg).unwrap();
+            let engine = IngestEngine::open(base.clone(), cfg).unwrap();
             engine.submit(first.clone()).unwrap();
             engine.run_epoch().unwrap().expect("first epoch");
             engine.submit(second.clone()).unwrap();
