@@ -5,7 +5,7 @@
 //! The canonical API surface lives under `/api/v1/...`. Every endpoint
 //! is *also* reachable at its historical `/api/...` spelling: the alias
 //! is registered against the **same handler** (see
-//! [`Router::get_aliased`]), so the two spellings can never drift, and
+//! [`Router::aliased`]), so the two spellings can never drift, and
 //! both report the canonical `/api/v1/...` pattern as their metrics
 //! route label — aliasing adds zero label cardinality. New clients
 //! should use `/api/v1`; the unversioned aliases are kept for existing
@@ -17,8 +17,9 @@
 //!
 //! The server hosts any number of cities, each an isolated platform
 //! (dataset, ingest engine, WAL root, epoch history, upload ring). A
-//! data endpoint therefore has *three* spellings, all registered by
-//! [`city_get`]/[`city_post`] against one handler fn:
+//! data endpoint therefore has *three* spellings, all derived by
+//! [`city_route`] from the one path the endpoint is written as, and
+//! all served by one handler fn:
 //!
 //! - `/api/v1/cities/{city}/...` — the explicit tenant route;
 //! - `/api/v1/...` — the same endpoint on the **default city**;
@@ -51,46 +52,12 @@
 //!
 //! # Routes
 //!
-//! | Route | Returns |
-//! |---|---|
-//! | `GET /` | embedded front-end |
-//! | `GET /api/v1/cities` | registered cities and their vitals (JSON) |
-//! | `GET /api/v1/stats` | dataset statistics (Sec. I.1 numbers) |
-//! | `GET /api/v1/users?limit=N&offset=M` \| `?after=<user>` | qualifying users, paginated (`{"total", "items", "next_after"}`) |
-//! | `GET /api/v1/patterns/:user` | a user's mined patterns (JSON) |
-//! | `GET /api/v1/network/:user` | a user's place graph (SVG) |
-//! | `GET /api/v1/crowd?hour=H` | crowd snapshot (JSON) |
-//! | `GET /api/v1/crowd/map?hour=H` | crowd heat map (SVG) |
-//! | `GET /api/v1/crowd/geojson?hour=H` | crowd snapshot (GeoJSON) |
-//! | `GET /api/v1/crowd/flows?from=H&to=H` | inter-window flows (JSON) |
-//! | `GET /api/v1/crowd/flows/map?from=H&to=H` | inter-window flow map (SVG) |
-//! | `GET /api/v1/crowd/timeline` | per-window crowd timeline (SVG) |
-//! | `GET /api/v1/crowd/compare?a=H&b=H` | two-window comparison (JSON) |
-//! | `GET /api/v1/crowd/diff?a=N&b=N` | per-user crowd delta between two retained epochs (JSON) |
-//! | `GET /api/v1/epochs` | retained epoch history listing (JSON) |
-//! | `GET /api/v1/figures/:id` | figure data series (`fig5`…`fig8`) |
-//! | `GET /api/v1/figures/:id/svg` | figure chart (SVG) |
-//! | `POST /api/v1/upload` | mine an uploaded TSV check-in history |
-//! | `GET /api/v1/upload/last` | the most recent upload's patterns |
-//! | `GET /api/v1/uploads?limit=N&offset=M` \| `?after=<id>` | recent uploads, newest first, paginated |
-//! | `POST /api/v1/checkins` | enqueue live check-ins (single or batch JSON) |
-//! | `POST /api/v1/ingest/epoch` | drain the queue into a new epoch snapshot |
-//! | `GET /api/v1/ingest/stats` | ingest queue/WAL/epoch/shard statistics |
-//! | `GET /api/v1/metrics` | platform metrics (Prometheus text exposition) |
-//! | `GET /api/v1/healthz` | liveness: epoch, queue, shard count (JSON) |
-//! | `GET /api/v1/hotspots` | detected crowd hotspots (JSON) |
-//! | `GET /api/v1/heatmap` | city activity rhythm (SVG) |
-//! | `GET /api/v1/heatmap/:user` | one user's activity rhythm (SVG) |
-//! | `GET /api/v1/entropy/:user` | predictability profile (JSON) |
-//! | `GET /api/v1/groups?threshold=T` | users grouped by pattern similarity (JSON) |
-//! | `GET /api/v1/trajectory/:user?date=D` | one day's trajectory (JSON + GeoJSON) |
-//! | `GET /api/v1/tiles/:z/:x/:y?hour=H` | slippy-map crowd tile (SVG) |
-//! | `GET /api/v1/export/checkins` | bulk check-in export (NDJSON, streamed chunked) |
-//!
-//! Each route above (minus `GET /`) also answers at `/api/...` without
-//! the version segment, and each data route (minus `GET /`,
-//! `/api/v1/cities`, and `/api/v1/metrics`) additionally answers at
-//! `GET /api/v1/cities/{city}/...` for any registered city.
+//! The route table is `build_router`; README.md's endpoint tables
+//! document it, and a test holds every registered `/api/v1/...` label
+//! to appearing there verbatim. Every data route also answers at its
+//! `/api/v1/cities/{city}/...` and legacy `/api/...` spellings;
+//! `/api/v1/cities` and `/api/v1/metrics` have only the legacy alias,
+//! and `GET /` has neither.
 //!
 //! # Streaming bodies
 //!
@@ -100,10 +67,10 @@
 //! [`ResponseBody::Stream`](crate::http::ResponseBody::Stream) (a
 //! pull-based [`BodyStream`] the reactor drains with `Transfer-
 //! Encoding: chunked`, polling the producer only while the socket can
-//! take more — see `DESIGN.md` §13). The heavyweight renders
-//! (`crowd/map`, `crowd/geojson`, `tiles`) stream their materialized
-//! buffers via [`ChunkedBytes`]; `export/checkins` is incrementally
-//! produced by [`CheckinExportStream`] and never materializes.
+//! take more — see `DESIGN.md` §13). Only `export/checkins` streams:
+//! [`CheckinExportStream`] serializes its rows one window per pull and
+//! never materializes the export. Every other view is rendered whole
+//! and served as a `Full` body.
 //!
 //! # Conditional requests
 //!
@@ -165,9 +132,9 @@
 //! epoch — the history ring retains crowd models, not datasets, so
 //! historical record exports are gone once the epoch advances.
 
-use crate::http::{BodyStream, ChunkedBytes, STREAM_CHUNK_BYTES};
+use crate::http::{BodyStream, STREAM_CHUNK_BYTES};
 use crate::state::View;
-use crate::{AppState, CityState, Request, Response, Router, StatusCode};
+use crate::{AppState, CityState, Method, Request, Response, Router, StatusCode};
 use crowdweb_crowd::{CrowdModel, CrowdSplice};
 use crowdweb_dataset::{MergeRecord, UserId};
 use crowdweb_ingest::{IngestError, PlatformSnapshot};
@@ -197,7 +164,7 @@ fn resolve_city<'a>(
             app.note_city_request(id);
             Ok(city)
         }
-        None => Err(error_envelope(
+        None => Err(Response::error_with_code(
             StatusCode::NotFound,
             "unknown-city",
             &format!("unknown city {id:?}"),
@@ -205,47 +172,29 @@ fn resolve_city<'a>(
     }
 }
 
-/// Asserts the three spellings of one endpoint stay in lockstep: the
-/// city route is the v1 route with `/cities/{city}` spliced in, and the
-/// legacy alias is the v1 route minus its version segment.
-fn assert_route_triple(city: &str, v1: &str, legacy: &str) {
-    debug_assert_eq!(
-        city,
-        format!("/api/v1/cities/{{city}}{}", &v1["/api/v1".len()..]),
-        "city pattern must be the v1 pattern under /cities/{{city}}"
-    );
-    debug_assert_eq!(
-        legacy,
-        format!("/api{}", &v1["/api/v1".len()..]),
-        "legacy alias must be the v1 pattern minus the version segment"
-    );
-}
-
-/// Registers one GET endpoint at all three spellings:
-/// `/api/v1/cities/{city}/...` (explicit city), `/api/v1/...` (default
-/// city), and `/api/...` (legacy alias of the default-city route). One
-/// handler serves all three; the default-city pair reports the
-/// canonical `/api/v1/...` metrics label, the city route reports its
-/// own `{city}` *pattern* (bounded cardinality — see
-/// [`Router::dispatch`]).
-fn city_get(
-    router: &mut Router<AppState>,
-    city_pattern: &'static str,
-    v1_pattern: &'static str,
-    legacy_alias: &'static str,
-    handler: CityHandler,
-) {
-    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
-    router.get(
-        city_pattern,
-        move |app: &AppState, req, params| match resolve_city(app, params) {
-            Ok(city) => handler(app, city, req, params),
-            Err(resp) => resp,
-        },
-    );
-    router.get_aliased(
-        v1_pattern,
-        legacy_alias,
+/// Registers one city endpoint, written once as its `path` below the
+/// city (`/stats`), at all three spellings:
+///
+/// - `/api/v1/cities/{city}{path}`, the explicit city, labelled with
+///   its own `{city}` *pattern* (bounded cardinality — see
+///   [`Router::dispatch`]);
+/// - `/api/v1{path}`, the default city;
+/// - `/api{path}`, the legacy alias of the default-city route, which
+///   reports the `/api/v1{path}` label.
+fn city_route(router: &mut Router<AppState>, method: Method, path: &str, handler: CityHandler) {
+    let city_pattern = format!("/api/v1/cities/{{city}}{path}");
+    let for_city = move |app: &AppState, req: &Request, params: &HashMap<String, String>| {
+        resolve_city(app, params)
+            .map_or_else(|unknown| unknown, |city| handler(app, city, req, params))
+    };
+    match method {
+        Method::Get => router.get(&city_pattern, for_city),
+        Method::Post => router.post(&city_pattern, for_city),
+    };
+    router.aliased(
+        method,
+        &format!("/api/v1{path}"),
+        &format!("/api{path}"),
         move |app: &AppState, req, params| {
             let city = app.default_city();
             app.note_city_request(city.id());
@@ -254,257 +203,55 @@ fn city_get(
     );
 }
 
-/// [`city_get`] for POST endpoints.
-fn city_post(
-    router: &mut Router<AppState>,
-    city_pattern: &'static str,
-    v1_pattern: &'static str,
-    legacy_alias: &'static str,
-    handler: CityHandler,
-) {
-    assert_route_triple(city_pattern, v1_pattern, legacy_alias);
-    router.post(
-        city_pattern,
-        move |app: &AppState, req, params| match resolve_city(app, params) {
-            Ok(city) => handler(app, city, req, params),
-            Err(resp) => resp,
-        },
-    );
-    router.post_aliased(
-        v1_pattern,
-        legacy_alias,
-        move |app: &AppState, req, params| {
-            let city = app.default_city();
-            app.note_city_request(city.id());
-            handler(app, city, req, params)
-        },
-    );
-}
-
-/// Builds the full CrowdWeb route table: every endpoint at its
-/// canonical `/api/v1/...` pattern (default city), its
-/// `/api/v1/cities/{city}/...` tenant spelling, and its legacy
-/// `/api/...` alias (one handler, shared per endpoint — see the module
-/// docs).
+/// Builds the full CrowdWeb route table: the front-end, the two
+/// platform-global endpoints (`cities`, `metrics`) with their legacy
+/// aliases, and every city endpoint at its three spellings (one
+/// handler per endpoint — see the module docs).
 pub fn build_router() -> Router<AppState> {
+    use Method::{Get, Post};
+    let city_endpoints: [(Method, &str, CityHandler); 30] = [
+        (Get, "/stats", stats),
+        (Get, "/users", users),
+        (Get, "/patterns/:user", patterns),
+        (Get, "/network/:user", network),
+        (Get, "/crowd", crowd),
+        (Get, "/crowd/map", crowd_map),
+        (Get, "/crowd/geojson", crowd_geojson),
+        (Get, "/crowd/flows", crowd_flows),
+        (Get, "/crowd/diff", crowd_diff),
+        (Get, "/epochs", epochs_list),
+        (Get, "/figures/:id", figure_data),
+        (Get, "/figures/:id/svg", figure_svg),
+        (Post, "/upload", upload),
+        (Get, "/upload/last", upload_last),
+        (Get, "/uploads", uploads_list),
+        (Post, "/checkins", checkins_submit),
+        (Post, "/ingest/epoch", ingest_epoch),
+        (Get, "/ingest/stats", ingest_stats),
+        (Get, "/healthz", healthz),
+        (Get, "/hotspots", hotspots),
+        (Get, "/crowd/flows/map", crowd_flows_map),
+        (Get, "/crowd/timeline", crowd_timeline),
+        (Get, "/heatmap", heatmap),
+        (Get, "/heatmap/:user", heatmap_user),
+        (Get, "/entropy/:user", entropy),
+        (Get, "/groups", groups),
+        (Get, "/crowd/compare", crowd_compare),
+        (Get, "/trajectory/:user", trajectory),
+        (Get, "/tiles/:z/:x/:y", tile),
+        (Get, "/export/checkins", export_checkins),
+    ];
     let mut router = Router::new();
     router.get("/", |_, _, _| {
         Response::html(crate::frontend::INDEX_HTML.to_owned())
     });
-    router.get_aliased("/api/v1/cities", "/api/cities", cities_list);
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/stats",
-        "/api/v1/stats",
-        "/api/stats",
-        stats,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/users",
-        "/api/v1/users",
-        "/api/users",
-        users,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/patterns/:user",
-        "/api/v1/patterns/:user",
-        "/api/patterns/:user",
-        patterns,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/network/:user",
-        "/api/v1/network/:user",
-        "/api/network/:user",
-        network,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd",
-        "/api/v1/crowd",
-        "/api/crowd",
-        crowd,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/map",
-        "/api/v1/crowd/map",
-        "/api/crowd/map",
-        crowd_map,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/geojson",
-        "/api/v1/crowd/geojson",
-        "/api/crowd/geojson",
-        crowd_geojson,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/flows",
-        "/api/v1/crowd/flows",
-        "/api/crowd/flows",
-        crowd_flows,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/diff",
-        "/api/v1/crowd/diff",
-        "/api/crowd/diff",
-        crowd_diff,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/epochs",
-        "/api/v1/epochs",
-        "/api/epochs",
-        epochs_list,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/figures/:id",
-        "/api/v1/figures/:id",
-        "/api/figures/:id",
-        figure_data,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/figures/:id/svg",
-        "/api/v1/figures/:id/svg",
-        "/api/figures/:id/svg",
-        figure_svg,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/upload",
-        "/api/v1/upload",
-        "/api/upload",
-        upload,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/upload/last",
-        "/api/v1/upload/last",
-        "/api/upload/last",
-        upload_last,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/uploads",
-        "/api/v1/uploads",
-        "/api/uploads",
-        uploads_list,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/checkins",
-        "/api/v1/checkins",
-        "/api/checkins",
-        checkins_submit,
-    );
-    city_post(
-        &mut router,
-        "/api/v1/cities/{city}/ingest/epoch",
-        "/api/v1/ingest/epoch",
-        "/api/ingest/epoch",
-        ingest_epoch,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/ingest/stats",
-        "/api/v1/ingest/stats",
-        "/api/ingest/stats",
-        ingest_stats,
-    );
+    router.aliased(Get, "/api/v1/cities", "/api/cities", cities_list);
     // Metrics are platform-global (one registry serves every city), so
     // there is no per-city spelling.
-    router.get_aliased("/api/v1/metrics", "/api/metrics", metrics_text);
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/healthz",
-        "/api/v1/healthz",
-        "/api/healthz",
-        healthz,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/hotspots",
-        "/api/v1/hotspots",
-        "/api/hotspots",
-        hotspots,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/flows/map",
-        "/api/v1/crowd/flows/map",
-        "/api/crowd/flows/map",
-        crowd_flows_map,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/timeline",
-        "/api/v1/crowd/timeline",
-        "/api/crowd/timeline",
-        crowd_timeline,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/heatmap",
-        "/api/v1/heatmap",
-        "/api/heatmap",
-        heatmap,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/heatmap/:user",
-        "/api/v1/heatmap/:user",
-        "/api/heatmap/:user",
-        heatmap_user,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/entropy/:user",
-        "/api/v1/entropy/:user",
-        "/api/entropy/:user",
-        entropy,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/groups",
-        "/api/v1/groups",
-        "/api/groups",
-        groups,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/crowd/compare",
-        "/api/v1/crowd/compare",
-        "/api/crowd/compare",
-        crowd_compare,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/trajectory/:user",
-        "/api/v1/trajectory/:user",
-        "/api/trajectory/:user",
-        trajectory,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/tiles/:z/:x/:y",
-        "/api/v1/tiles/:z/:x/:y",
-        "/api/tiles/:z/:x/:y",
-        tile,
-    );
-    city_get(
-        &mut router,
-        "/api/v1/cities/{city}/export/checkins",
-        "/api/v1/export/checkins",
-        "/api/export/checkins",
-        export_checkins,
-    );
+    router.aliased(Get, "/api/v1/metrics", "/api/metrics", metrics_text);
+    for (method, path, handler) in city_endpoints {
+        city_route(&mut router, method, path, handler);
+    }
     router
 }
 
@@ -550,38 +297,22 @@ fn ok_json<T: Serialize>(value: &T) -> Response {
     }
 }
 
-/// Serves an already-materialized buffer under chunked framing: the
-/// handler still renders in one shot, but the reactor drains the bytes
-/// [`STREAM_CHUNK_BYTES`] at a time under the per-connection stream
-/// budget instead of holding one `Content-Length` buffer per in-flight
-/// response.
-fn stream_bytes(content_type: &str, bytes: Vec<u8>) -> Response {
-    Response::stream(content_type, Box::new(ChunkedBytes::new(bytes)))
-}
-
-/// Builds an error envelope with a handler-specific machine-readable
-/// code. The single funnel for every ad-hoc error a handler emits — the
-/// body shape is owned by [`Response::error_with_code`].
-fn error_envelope(status: StatusCode, code: &str, message: &str) -> Response {
-    Response::error_with_code(status, code, message)
-}
-
 fn parse_user(params: &HashMap<String, String>) -> Result<UserId, Response> {
     params
         .get("user")
         .and_then(|s| s.parse::<u32>().ok())
         .map(UserId::new)
-        .ok_or_else(|| error_envelope(StatusCode::BadRequest, "bad-user-id", "bad user id"))
+        .ok_or_else(|| {
+            Response::error_with_code(StatusCode::BadRequest, "bad-user-id", "bad user id")
+        })
 }
 
 fn parse_hour(request: &Request) -> Result<u8, Response> {
     match request.query_param("hour") {
         None => Ok(9), // the paper's default view
-        Some(raw) => {
-            raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hour must be 0-23")
-            })
-        }
+        Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
+            Response::error_with_code(StatusCode::BadRequest, "bad-hour", "hour must be 0-23")
+        }),
     }
 }
 
@@ -605,7 +336,7 @@ fn parse_page(request: &Request) -> Result<Page, Response> {
             .ok()
             .filter(|l| (1..=MAX_PAGE_LIMIT).contains(l))
             .ok_or_else(|| {
-                error_envelope(
+                Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-limit",
                     &format!("limit must be an integer in 1..={MAX_PAGE_LIMIT}"),
@@ -615,7 +346,7 @@ fn parse_page(request: &Request) -> Result<Page, Response> {
     let offset = match request.query_param("offset") {
         None => 0,
         Some(raw) => raw.parse::<usize>().map_err(|_| {
-            error_envelope(
+            Response::error_with_code(
                 StatusCode::BadRequest,
                 "bad-offset",
                 "offset must be a non-negative integer",
@@ -637,7 +368,7 @@ fn parse_after(request: &Request) -> Result<Option<u64>, Response> {
         return Ok(None);
     };
     if request.query_param("offset").is_some() {
-        return Err(error_envelope(
+        return Err(Response::error_with_code(
             StatusCode::BadRequest,
             "bad-cursor",
             "after and offset are mutually exclusive",
@@ -645,7 +376,7 @@ fn parse_after(request: &Request) -> Result<Option<u64>, Response> {
     }
     match raw.parse::<u64>() {
         Ok(after) => Ok(Some(after)),
-        Err(_) => Err(error_envelope(
+        Err(_) => Err(Response::error_with_code(
             StatusCode::BadRequest,
             "bad-cursor",
             "after must be a non-negative integer id",
@@ -822,7 +553,7 @@ fn patterns(
     let snap = state.snapshot();
     match snap.patterns_of(user) {
         Some(up) => ok_json(&patterns_dto(&snap, up)),
-        None => error_envelope(
+        None => Response::error_with_code(
             StatusCode::NotFound,
             "unknown-user",
             "unknown or filtered user",
@@ -848,7 +579,7 @@ fn network(
                 labeler.name_of(l).unwrap_or_else(|| l.to_string())
             }))
         }
-        None => error_envelope(
+        None => Response::error_with_code(
             StatusCode::NotFound,
             "unknown-user",
             "unknown or filtered user",
@@ -893,7 +624,7 @@ fn crowd_view_epoch(
         return Ok((snap.crowd_arc(), snap.epoch()));
     };
     let Ok(epoch) = raw.parse::<u64>() else {
-        return Err(error_envelope(
+        return Err(Response::error_with_code(
             StatusCode::BadRequest,
             "bad-epoch",
             "epoch must be a non-negative integer",
@@ -901,7 +632,7 @@ fn crowd_view_epoch(
     };
     let model = state.engine().crowd_at(epoch).ok_or_else(|| {
         let (oldest, newest) = state.engine().history().retained();
-        error_envelope(
+        Response::error_with_code(
             StatusCode::NotFound,
             "unknown-epoch",
             &format!("epoch {epoch} is not retained (history holds {oldest}..={newest})"),
@@ -948,7 +679,7 @@ fn snapshot_for(
 ) -> Result<crowdweb_crowd::CrowdSnapshot, Response> {
     let hour = parse_hour(request)?;
     crowd.snapshot_at_hour(hour).ok_or_else(|| {
-        error_envelope(
+        Response::error_with_code(
             StatusCode::NotFound,
             "no-window",
             "no window covers that hour",
@@ -1003,7 +734,7 @@ fn crowd_map(
         },
         Some(raw) => {
             let Ok(label) = raw.parse::<u32>() else {
-                return error_envelope(
+                return Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-label",
                     "label must be an integer",
@@ -1014,7 +745,7 @@ fn crowd_map(
                 Err(resp) => return resp,
             };
             let Some(idx) = model.windows().index_of_hour(hour) else {
-                return error_envelope(
+                return Response::error_with_code(
                     StatusCode::NotFound,
                     "no-window",
                     "no window covers that hour",
@@ -1026,14 +757,7 @@ fn crowd_map(
             }
         }
     };
-    // A rendered city map can be megabytes of SVG on a dense grid —
-    // serve it chunked so the reactor never re-buffers the whole body
-    // past the stream budget.
-    stream_bytes(
-        "image/svg+xml",
-        CityMap::new(model.grid()).render(&snap).into_bytes(),
-    )
-    .with_etag(&etag)
+    Response::svg(CityMap::new(model.grid()).render(&snap)).with_etag(&etag)
 }
 
 fn crowd_geojson(
@@ -1048,9 +772,7 @@ fn crowd_geojson(
     };
     match snapshot_for(&model, request) {
         Ok(snap) => match serde_json::to_string(&snapshot_to_geojson(&snap, model.grid())) {
-            // The largest JSON body we serve: one feature per occupied
-            // cell. Stream it instead of Content-Length framing.
-            Ok(body) => stream_bytes("application/json", body.into_bytes()).with_etag(&etag),
+            Ok(body) => Response::json(body).with_etag(&etag),
             Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
         },
         Err(resp) => resp,
@@ -1074,7 +796,7 @@ fn crowd_flows(
         match request.query_param(name) {
             None => Ok(default),
             Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
+                Response::error_with_code(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
             }),
         }
     };
@@ -1088,7 +810,7 @@ fn crowd_flows(
     };
     let windows = model.windows();
     let (Some(fi), Some(ti)) = (windows.index_of_hour(from), windows.index_of_hour(to)) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::NotFound,
             "no-window",
             "no window covers that hour",
@@ -1153,7 +875,7 @@ fn crowd_diff(
             .query_param(name)
             .and_then(|raw| raw.parse::<u64>().ok())
             .ok_or_else(|| {
-                error_envelope(
+                Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-epoch",
                     "a and b must be non-negative integer epochs",
@@ -1167,7 +889,7 @@ fn crowd_diff(
     let materialize = |epoch: u64| -> Result<Arc<CrowdModel>, Response> {
         state.engine().crowd_at(epoch).ok_or_else(|| {
             let (oldest, newest) = state.engine().history().retained();
-            error_envelope(
+            Response::error_with_code(
                 StatusCode::NotFound,
                 "unknown-epoch",
                 &format!("epoch {epoch} is not retained (history holds {oldest}..={newest})"),
@@ -1273,7 +995,7 @@ fn figure_series(snap: &PlatformSnapshot, id: &str) -> Option<SeriesDto> {
 }
 
 fn unknown_figure() -> Response {
-    error_envelope(
+    Response::error_with_code(
         StatusCode::NotFound,
         "unknown-figure",
         "unknown figure (fig5..fig8)",
@@ -1411,11 +1133,15 @@ fn upload(
     _: &HashMap<String, String>,
 ) -> Response {
     let Ok(body) = std::str::from_utf8(&request.body) else {
-        return error_envelope(StatusCode::BadRequest, "bad-body", "body must be utf-8 tsv");
+        return Response::error_with_code(
+            StatusCode::BadRequest,
+            "bad-body",
+            "body must be utf-8 tsv",
+        );
     };
     match state.ingest_upload(body) {
         Ok(result) => ok_json(&upload_dto(&state.snapshot(), &result)),
-        Err(e) => error_envelope(StatusCode::BadRequest, "bad-upload", &e.to_string()),
+        Err(e) => Response::error_with_code(StatusCode::BadRequest, "bad-upload", &e.to_string()),
     }
 }
 
@@ -1427,7 +1153,7 @@ fn upload_last(
 ) -> Response {
     match state.last_upload() {
         Some(result) => ok_json(&upload_dto(&state.snapshot(), &result)),
-        None => error_envelope(StatusCode::NotFound, "no-upload", "no upload yet"),
+        None => Response::error_with_code(StatusCode::NotFound, "no-upload", "no upload yet"),
     }
 }
 
@@ -1504,7 +1230,7 @@ fn checkins_submit(
     _: &HashMap<String, String>,
 ) -> Response {
     let Ok(body) = std::str::from_utf8(&request.body) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::BadRequest,
             "bad-body",
             "body must be utf-8 json",
@@ -1516,7 +1242,7 @@ fn checkins_submit(
         Err(_) => match serde_json::from_str::<CheckinDto>(body) {
             Ok(one) => vec![one],
             Err(e) => {
-                return error_envelope(
+                return Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-checkin",
                     &format!("body must be a check-in object or array: {e}"),
@@ -1529,7 +1255,7 @@ fn checkins_submit(
         match checkin_to_record(dto) {
             Ok(r) => records.push(r),
             Err(msg) => {
-                return error_envelope(
+                return Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-checkin",
                     &format!("check-in {i}: {msg}"),
@@ -1540,7 +1266,7 @@ fn checkins_submit(
     match state.engine().submit(records) {
         Ok(receipt) => ok_json(&receipt),
         Err(e @ IngestError::Backpressure { .. }) => {
-            error_envelope(StatusCode::ServiceUnavailable, "queue-full", &e.to_string())
+            Response::error_with_code(StatusCode::ServiceUnavailable, "queue-full", &e.to_string())
                 .with_retry_after(RETRY_AFTER_SECS)
         }
         Err(e) => Response::error(StatusCode::InternalServerError, &e.to_string()),
@@ -1683,7 +1409,7 @@ fn crowd_flows_map(
         match request.query_param(name) {
             None => Ok(default),
             Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
+                Response::error_with_code(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
             }),
         }
     };
@@ -1697,7 +1423,7 @@ fn crowd_flows_map(
     };
     let windows = model.windows();
     let (Some(fi), Some(ti)) = (windows.index_of_hour(from), windows.index_of_hour(to)) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::NotFound,
             "no-window",
             "no window covers that hour",
@@ -1762,7 +1488,7 @@ fn heatmap_user(
     };
     let snap = state.snapshot();
     if snap.dataset().checkins_of(user).is_empty() {
-        return error_envelope(StatusCode::NotFound, "unknown-user", "unknown user");
+        return Response::error_with_code(StatusCode::NotFound, "unknown-user", "unknown user");
     }
     let profile = crowdweb_dataset::ActivityProfile::of_user(snap.dataset(), user);
     Response::svg(crowdweb_viz::render_activity_heatmap(
@@ -1794,7 +1520,7 @@ fn entropy(
     };
     let snap = state.snapshot();
     let Some(view) = snap.prepared().seqdb().view_of(user) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::NotFound,
             "unknown-user",
             "unknown or filtered user",
@@ -1828,7 +1554,7 @@ fn groups(
         Some(raw) => match raw.parse::<f64>() {
             Ok(t) if (0.0..=1.0).contains(&t) => t,
             _ => {
-                return error_envelope(
+                return Response::error_with_code(
                     StatusCode::BadRequest,
                     "bad-threshold",
                     "threshold must be in [0, 1]",
@@ -1857,7 +1583,7 @@ fn crowd_compare(
         match request.query_param(name) {
             None => Ok(default),
             Some(raw) => raw.parse::<u8>().ok().filter(|h| *h < 24).ok_or_else(|| {
-                error_envelope(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
+                Response::error_with_code(StatusCode::BadRequest, "bad-hour", "hours must be 0-23")
             }),
         }
     };
@@ -1900,7 +1626,7 @@ fn trajectory(
     let snap = state.snapshot();
     let checkins = snap.dataset().checkins_of(user);
     if checkins.is_empty() {
-        return error_envelope(StatusCode::NotFound, "unknown-user", "unknown user");
+        return Response::error_with_code(StatusCode::NotFound, "unknown-user", "unknown user");
     }
     // Group the user's check-ins by local date.
     let mut per_day: HashMap<crowdweb_dataset::CivilDate, Vec<crowdweb_geo::LatLon>> =
@@ -1927,7 +1653,7 @@ fn trajectory(
             match parsed {
                 Some(d) => d,
                 None => {
-                    return error_envelope(
+                    return Response::error_with_code(
                         StatusCode::BadRequest,
                         "bad-date",
                         "date must be YYYY-MM-DD",
@@ -1945,7 +1671,7 @@ fn trajectory(
         }
     };
     let Some(points) = per_day.get(&date) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::NotFound,
             "no-checkins",
             "no check-ins on that date",
@@ -1979,18 +1705,20 @@ fn tile(
     use crowdweb_viz::sequential_color;
     let parse = |name: &str| -> Option<u32> { params.get(name).and_then(|s| s.parse().ok()) };
     let (Some(z), Some(x), Some(y)) = (parse("z"), parse("x"), parse("y")) else {
-        return error_envelope(
+        return Response::error_with_code(
             StatusCode::BadRequest,
             "bad-tile",
             "tile coordinates must be integers",
         );
     };
     let Ok(z8) = u8::try_from(z) else {
-        return error_envelope(StatusCode::BadRequest, "bad-tile", "zoom out of range");
+        return Response::error_with_code(StatusCode::BadRequest, "bad-tile", "zoom out of range");
     };
     let tile = match crowdweb_geo::TileCoord::new(z8, x, y) {
         Ok(t) => t,
-        Err(e) => return error_envelope(StatusCode::BadRequest, "bad-tile", &e.to_string()),
+        Err(e) => {
+            return Response::error_with_code(StatusCode::BadRequest, "bad-tile", &e.to_string())
+        }
     };
     let (model, etag) = match crowd_view_tagged(state, request) {
         Ok(pair) => pair,
@@ -2024,7 +1752,7 @@ fn tile(
         let color = sequential_color(count as f64 / max as f64).to_hex();
         doc.rect(x0, y0, (x1 - x0).abs(), (y1 - y0).abs(), &color, None);
     }
-    stream_bytes("image/svg+xml", doc.finish().into_bytes()).with_etag(&etag)
+    Response::svg(doc.finish()).with_etag(&etag)
 }
 
 /// One `export/checkins` NDJSON line: a check-in joined with its
@@ -2103,14 +1831,14 @@ fn export_checkins(
     let snap = state.snapshot();
     if let Some(raw) = request.query_param("epoch") {
         let Ok(epoch) = raw.parse::<u64>() else {
-            return error_envelope(
+            return Response::error_with_code(
                 StatusCode::BadRequest,
                 "bad-epoch",
                 "epoch must be a non-negative integer",
             );
         };
         if epoch != snap.epoch() {
-            return error_envelope(
+            return Response::error_with_code(
                 StatusCode::NotFound,
                 "unknown-epoch",
                 &format!(
@@ -2156,6 +1884,29 @@ mod tests {
         assert_eq!(code, 200);
         assert!(body.contains("\"total_checkins\""));
         assert!(body.contains("\"study_window\""));
+    }
+
+    /// The README endpoint tables are the route documentation: every
+    /// registered `/api/v1...` label (parameter spellings like `:user`
+    /// and `{city}` included) must appear there verbatim. Legacy aliases
+    /// report their v1 label, so they are covered too.
+    #[test]
+    fn readme_documents_every_registered_v1_route() {
+        const README: &str = include_str!("../../../README.md");
+        let router = build_router();
+        let labels: std::collections::BTreeSet<&str> = router
+            .labels()
+            .filter(|label| label.starts_with("/api/v1"))
+            .collect();
+        assert!(!labels.is_empty(), "no /api/v1 routes registered");
+        let missing: Vec<&str> = labels
+            .into_iter()
+            .filter(|label| !README.contains(label))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "README.md does not document registered routes: {missing:?}"
+        );
     }
 
     /// Asserts one line of Prometheus text exposition is well-formed.

@@ -492,11 +492,6 @@ pub enum ResponseBody {
 }
 
 impl ResponseBody {
-    /// Whether this body is streamed (chunked framing on the wire).
-    pub fn is_stream(&self) -> bool {
-        matches!(self, ResponseBody::Stream(_))
-    }
-
     /// The body length known at serialization time: the buffer length
     /// for [`ResponseBody::Full`], `0` for streams (streamed bytes are
     /// accounted separately as chunks flush).
@@ -542,34 +537,6 @@ pub fn encode_chunk(out: &mut Vec<u8>, data: &[u8]) {
 /// framing and syscalls, small enough that per-connection buffering
 /// stays modest.
 pub const STREAM_CHUNK_BYTES: usize = 64 * 1024;
-
-/// A [`BodyStream`] over an already materialized buffer, yielding
-/// [`STREAM_CHUNK_BYTES`]-sized windows. This ports buffer-producing
-/// handlers (SVG maps, GeoJSON) onto chunked framing without rewriting
-/// their renderers as incremental producers.
-pub struct ChunkedBytes {
-    bytes: Vec<u8>,
-    at: usize,
-}
-
-impl ChunkedBytes {
-    /// Wraps `bytes` for chunk-by-chunk serving.
-    pub fn new(bytes: Vec<u8>) -> ChunkedBytes {
-        ChunkedBytes { bytes, at: 0 }
-    }
-}
-
-impl BodyStream for ChunkedBytes {
-    fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.at >= self.bytes.len() {
-            return Ok(None);
-        }
-        let end = (self.at + STREAM_CHUNK_BYTES).min(self.bytes.len());
-        let chunk = self.bytes[self.at..end].to_vec();
-        self.at = end;
-        Ok(Some(chunk))
-    }
-}
 
 /// An HTTP response under construction.
 #[derive(Debug)]
@@ -1209,7 +1176,7 @@ mod tests {
     }
 
     #[test]
-    fn error_envelope_escapes_hostile_messages() {
+    fn error_response_escapes_hostile_messages() {
         let r = Response::error(StatusCode::BadRequest, "a \"quoted\" message\nwith newline");
         let v: serde_json::Value =
             serde_json::from_str(&String::from_utf8(r.into_body_bytes()).unwrap()).unwrap();
@@ -1243,25 +1210,26 @@ mod tests {
         assert_eq!(LAST_CHUNK, b"0\r\n\r\n");
     }
 
-    #[test]
-    fn chunked_bytes_yields_bounded_windows_then_none() {
-        let mut s = ChunkedBytes::new(vec![7u8; STREAM_CHUNK_BYTES + 10]);
-        assert_eq!(s.next_chunk().unwrap().unwrap().len(), STREAM_CHUNK_BYTES);
-        assert_eq!(s.next_chunk().unwrap().unwrap().len(), 10);
-        assert!(s.next_chunk().unwrap().is_none());
-        // An empty buffer streams as an immediately complete body.
-        assert!(ChunkedBytes::new(Vec::new())
-            .next_chunk()
-            .unwrap()
-            .is_none());
+    /// A producer yielding `bytes` in [`STREAM_CHUNK_BYTES`] windows.
+    struct Windows(std::vec::IntoIter<Vec<u8>>);
+
+    fn windows(bytes: &[u8]) -> Box<dyn BodyStream> {
+        let chunks: Vec<Vec<u8>> = bytes
+            .chunks(STREAM_CHUNK_BYTES)
+            .map(<[u8]>::to_vec)
+            .collect();
+        Box::new(Windows(chunks.into_iter()))
+    }
+
+    impl BodyStream for Windows {
+        fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
+            Ok(self.0.next())
+        }
     }
 
     #[test]
     fn streamed_response_head_declares_chunked_framing() {
-        let r = Response::stream(
-            "application/x-ndjson",
-            Box::new(ChunkedBytes::new(b"{}\n".to_vec())),
-        );
+        let r = Response::stream("application/x-ndjson", windows(b"{}\n"));
         let head = String::from_utf8(r.head_bytes(true)).unwrap();
         assert!(
             head.contains("\r\nTransfer-Encoding: chunked\r\n"),
@@ -1273,9 +1241,8 @@ mod tests {
 
     #[test]
     fn streamed_response_serializes_with_terminal_chunk() {
-        let body: Vec<u8> = b"abcdef".to_vec();
         let mut buf = Vec::new();
-        Response::stream("text/plain", Box::new(ChunkedBytes::new(body)))
+        Response::stream("text/plain", windows(b"abcdef"))
             .write_to_with(&mut buf, false)
             .unwrap();
         let s = String::from_utf8(buf).unwrap();
@@ -1285,7 +1252,7 @@ mod tests {
     #[test]
     fn collected_stream_body_matches_the_source_bytes() {
         let body = vec![42u8; 3 * STREAM_CHUNK_BYTES + 17];
-        let r = Response::stream("text/plain", Box::new(ChunkedBytes::new(body.clone())));
+        let r = Response::stream("text/plain", windows(&body));
         assert_eq!(r.into_body_bytes(), body);
     }
 

@@ -33,6 +33,7 @@
 //!              │ response bytes  metrics, serialize with the
 //!              ▼                 negotiated disposition
 //!           Writing ──────────── nonblocking writes until drained
+//!              │                 (a stream: one window per pass)
 //!              │          │
 //!              │ close    │ keep-alive: budget left & client agreed
 //!              ▼          ▼
@@ -612,13 +613,23 @@ fn queue_response(conn: &mut Conn, response: Response, keep_alive: bool, write_t
 /// Advances one connection's state machine as far as it can go without
 /// another poll event: a drained keep-alive response rolls straight
 /// into reading (and possibly dispatching) the next pipelined request.
+/// A streamed body is the exception: it writes one refilled window per
+/// call and then hands the loop back, so one long stream cannot starve
+/// every other connection.
 fn drive(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     let mut progressed = false;
     loop {
         let step = match conn.state {
             ConnState::Reading { .. } => drive_read(token, conn, ctx),
             ConnState::Dispatched => Drive::Idle,
-            ConnState::Writing { .. } => drive_write(token, conn, ctx),
+            ConnState::Writing { .. } => match drive_write(token, conn, ctx) {
+                // Still writing after progress: the socket blocked, or
+                // a stream wrote its window and yields the loop.
+                Drive::Progress if matches!(conn.state, ConnState::Writing { .. }) => {
+                    return Drive::Progress;
+                }
+                step => step,
+            },
         };
         match step {
             Drive::Progress => {
@@ -885,6 +896,7 @@ fn drive_write(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
         drain_input(&mut conn.stream);
     }
     let mut progressed = false;
+    let mut refilled = false;
     loop {
         while *written < buf.len() {
             match conn.stream.write(&buf[*written..]) {
@@ -921,6 +933,15 @@ fn drive_write(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
                 // clocks the new window — a long stream is not
                 // penalized for its total size, only for stalling.
                 conn.deadline = Some(Instant::now() + ctx.config.write_timeout);
+                // One refilled window per call: a fast reader never
+                // blocks the socket, so without this one export would
+                // hold the event thread for its whole body. The window
+                // stays queued; the level-triggered write interest
+                // resumes it on the next pass.
+                if refilled {
+                    return Drive::Progress;
+                }
+                refilled = true;
             }
             Err(_) => {
                 // Producer died mid-body: tear the connection down
@@ -1062,7 +1083,7 @@ pub(crate) fn record_access(
     metrics
         .counter(
             "crowdweb_http_response_body_bytes_total",
-            "Response body bytes produced, by route pattern.",
+            "Response body bytes produced, by route pattern. Streamed bodies are counted only in crowdweb_http_streamed_body_bytes_total.",
             &[("route", route)],
         )
         .add(response.body.len_hint() as u64);
@@ -1108,6 +1129,35 @@ mod tests {
             ),
             Some(1)
         );
+        // The rendered crowd views are full bodies: the response byte
+        // counter sees every byte of them.
+        for (path, label) in [
+            ("/api/v1/crowd/map?hour=9", "/api/v1/crowd/map"),
+            ("/api/v1/crowd/geojson?hour=9", "/api/v1/crowd/geojson"),
+            ("/api/v1/tiles/0/0/0?hour=9", "/api/v1/tiles/:z/:x/:y"),
+        ] {
+            let (response, _, route) = execute(
+                format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes(),
+                true,
+                &state,
+                &router,
+                &registry,
+                Instant::now(),
+            )
+            .expect("well-formed request gets a response");
+            assert_eq!(response.status.code(), 200, "{path}");
+            assert_eq!(route, label);
+            let len = response.into_body_bytes().len() as u64;
+            assert!(len > 0, "{path} rendered an empty body");
+            assert_eq!(
+                registry.counter_value(
+                    "crowdweb_http_response_body_bytes_total",
+                    &[("route", label)]
+                ),
+                Some(len),
+                "{path}"
+            );
+        }
     }
 
     #[test]
@@ -1550,5 +1600,79 @@ mod tests {
             wire.contains("5\r\nhello\r\n5\r\nworld\r\n0\r\n\r\n"),
             "{wire}"
         );
+    }
+
+    #[test]
+    fn a_long_stream_yields_the_loop_after_one_window() {
+        let (state, router, registry) = app();
+        let pool = WorkerPool::new(1, 8);
+        let (done_tx, _done_rx) = mpsc::channel::<Completion>();
+        let (waker, _wake_rx) = sys::wake_pair().unwrap();
+        let metrics = ReactorMetrics::new(registry);
+        const BUDGET: usize = 2048;
+        let config = ReactorConfig {
+            stream_budget: BUDGET,
+            ..ReactorConfig::default()
+        };
+        let ctx = Ctx {
+            state: &state,
+            router: &router,
+            pool: &pool,
+            done_tx: &done_tx,
+            waker: &waker,
+            metrics: &metrics,
+            config: &config,
+        };
+        let (server, mut client) = socket_pair();
+        let mut conn = Conn::new(server, Duration::from_secs(5));
+        // 64 windows' worth of 1 KiB chunks, far less than the loopback
+        // socket buffer: the reader never stalls the writer.
+        let body: Box<dyn BodyStream> = Box::new(Scripted {
+            chunks: (0..64).map(|_| vec![b'x'; 1024]).collect(),
+            polls: 0,
+            fail_at_end: false,
+        });
+        conn.state = ConnState::Writing {
+            buf: Vec::new(),
+            written: 0,
+            then: WriteThen::Close,
+            stream: Some(LiveStream::new(body, "/x", &metrics)),
+        };
+        assert!(matches!(drive(0, &mut conn, &ctx), Drive::Progress));
+        assert!(
+            matches!(&conn.state, ConnState::Writing { stream: Some(live), .. } if !live.done),
+            "one drive call must hand the loop back before the stream finishes"
+        );
+        client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut first = vec![0u8; 128 * 1024];
+        let mut len = 0;
+        while let Ok(n @ 1..) = client.read(&mut first[len..]) {
+            len += n;
+        }
+        let encoded_chunk = 1024 + "400\r\n\r\n".len();
+        assert!(
+            len > 0 && len <= BUDGET + encoded_chunk,
+            "one drive call wrote {len} bytes, budget {BUDGET} + one chunk allows {}",
+            BUDGET + encoded_chunk
+        );
+        // Later passes resume the stream through its terminal chunk.
+        let mut passes = 1;
+        while !matches!(drive(0, &mut conn, &ctx), Drive::Close) {
+            passes += 1;
+            assert!(passes < 1000, "stream never finished");
+        }
+        assert!(passes > 2, "the stream took {passes} passes");
+        drop(conn);
+        let mut wire = first[..len].to_vec();
+        client.set_read_timeout(None).unwrap();
+        client.read_to_end(&mut wire).unwrap();
+        let mut expected = Vec::new();
+        for _ in 0..64 {
+            encode_chunk(&mut expected, &[b'x'; 1024]);
+        }
+        expected.extend_from_slice(LAST_CHUNK);
+        assert!(wire == expected, "resumed stream diverges from its chunks");
     }
 }

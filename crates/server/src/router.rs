@@ -83,30 +83,23 @@ impl<S> Router<S> {
         self
     }
 
-    /// Registers a GET route at its canonical `pattern` plus a legacy
-    /// `alias` spelling. Both dispatch the *same* handler and report
-    /// the canonical pattern as the metrics route label, so aliasing
-    /// never doubles the label cardinality.
-    pub fn get_aliased<F>(&mut self, pattern: &str, alias: &str, handler: F) -> &mut Router<S>
+    /// Registers a `method` route at its canonical `pattern` plus a
+    /// legacy `alias` spelling. Both dispatch the *same* handler and
+    /// report the canonical pattern as the metrics route label, so
+    /// aliasing never doubles the label cardinality.
+    pub fn aliased<F>(
+        &mut self,
+        method: Method,
+        pattern: &str,
+        alias: &str,
+        handler: F,
+    ) -> &mut Router<S>
     where
         F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
     {
         let handler: Handler<S> = Arc::new(handler);
-        self.add(Method::Get, pattern, pattern, Arc::clone(&handler));
-        self.add(Method::Get, alias, pattern, handler);
-        self
-    }
-
-    /// Registers a POST route at its canonical `pattern` plus a legacy
-    /// `alias`, sharing one handler and one metrics label (see
-    /// [`Router::get_aliased`]).
-    pub fn post_aliased<F>(&mut self, pattern: &str, alias: &str, handler: F) -> &mut Router<S>
-    where
-        F: Fn(&S, &Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
-    {
-        let handler: Handler<S> = Arc::new(handler);
-        self.add(Method::Post, pattern, pattern, Arc::clone(&handler));
-        self.add(Method::Post, alias, pattern, handler);
+        self.add(method, pattern, pattern, Arc::clone(&handler));
+        self.add(method, alias, pattern, handler);
         self
     }
 
@@ -134,6 +127,13 @@ impl<S> Router<S> {
             segments,
             handler,
         });
+    }
+
+    /// Every registered route's metrics label, in registration order
+    /// (an alias repeats its canonical label).
+    #[cfg(test)]
+    pub(crate) fn labels(&self) -> impl Iterator<Item = &str> {
+        self.routes.iter().map(|route| route.label.as_str())
     }
 
     /// Number of registered routes.
@@ -279,12 +279,13 @@ mod tests {
     #[test]
     fn aliased_routes_share_handler_and_canonical_label() {
         let mut r: Router<i32> = Router::new();
-        r.get_aliased(
+        r.aliased(
+            Method::Get,
             "/api/v1/patterns/:user",
             "/api/patterns/:user",
             |s, _, p| Response::json(format!("{s}:{}", p["user"])),
         );
-        r.post_aliased("/api/v1/upload", "/api/upload", |_, rq, _| {
+        r.aliased(Method::Post, "/api/v1/upload", "/api/upload", |_, rq, _| {
             Response::json(format!("{}", rq.body.len()))
         });
         assert_eq!(r.len(), 4, "each alias pair registers two routes");

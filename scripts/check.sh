@@ -97,20 +97,10 @@ for metric in crowdweb_ingest_history_retained_epochs \
 done
 
 echo "== API v1 doc-drift gate =="
-# Every route registered in build_router must appear verbatim in the
-# README endpoint table (parameter spellings like :user included).
-routes=$(awk '/fn build_router/,/^}/' crates/server/src/api.rs |
-    grep -oE '"/api/v1[^"]*"' | tr -d '"' | sort -u)
-[ -n "$routes" ] || {
-    echo "no /api/v1 routes found in crates/server/src/api.rs build_router" >&2
-    exit 1
-}
-for route in $routes; do
-    grep -qF "$route" README.md || {
-        echo "README.md does not document registered route: $route" >&2
-        exit 1
-    }
-done
+# Every /api/v1 route label the router registers must appear verbatim
+# in the README endpoint tables (parameter spellings like :user
+# included); the test reads the labels from the built route table.
+cargo test -q -p crowdweb-server --lib readme_documents_every_registered_v1_route
 
 echo "== loadgen gate =="
 # Trace synthesis must be deterministic, every shipped scenario must

@@ -31,31 +31,15 @@ fn request(raw: String) -> (u16, String) {
         .and_then(|c| c.parse().ok())
         .unwrap_or(0);
     let (head, body) = buf.split_once("\r\n\r\n").unwrap_or((buf.as_str(), ""));
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        decode_chunked(body)
-    } else {
-        body.to_owned()
-    };
-    (code, body)
-}
-
-/// Decodes an HTTP/1.1 chunked body (the streamed endpoints — crowd
-/// map, geojson, tiles, export — frame with `Transfer-Encoding:
-/// chunked` instead of `Content-Length`).
-fn decode_chunked(mut rest: &str) -> String {
-    let mut out = String::new();
-    while let Some((size_line, tail)) = rest.split_once("\r\n") {
-        let size = usize::from_str_radix(size_line.trim(), 16).unwrap_or(0);
-        if size == 0 {
-            break;
-        }
-        out.push_str(&tail[..size]);
-        rest = &tail[size + 2..]; // past the chunk data and its CRLF
-    }
-    out
+    // No route fetched here streams: every response is one
+    // `Content-Length` body, read whole up to the server's close.
+    let length = head.lines().find_map(|line| {
+        line.split_once(':')
+            .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+            .and_then(|(_, value)| value.trim().parse::<usize>().ok())
+    });
+    assert_eq!(length, Some(body.len()), "framing of {head:?}");
+    (code, body.to_owned())
 }
 
 fn get(path: &str) -> (u16, String) {
