@@ -10,12 +10,12 @@
 //! Deliberately dependency-free and blocking — each sender thread owns
 //! its own `Client`.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 /// A parsed response, reduced to what the harness records.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpResponse {
     /// HTTP status code.
     pub status: u16,
@@ -213,8 +213,8 @@ fn read_framed_response<R: BufRead>(reader: &mut R) -> io::Result<HttpResponse> 
     } else {
         let content_length = content_length
             .ok_or_else(|| malformed("response declared neither content-length nor chunked"))?;
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
+        let mut body = Vec::new();
+        read_body_bytes(reader, &mut body, content_length)?;
         body
     };
     Ok(HttpResponse {
@@ -241,9 +241,7 @@ fn read_chunked_body<R: BufRead>(reader: &mut R) -> io::Result<Vec<u8>> {
         if size == 0 {
             break;
         }
-        let at = body.len();
-        body.resize(at + size, 0);
-        reader.read_exact(&mut body[at..])?;
+        read_body_bytes(reader, &mut body, size)?;
         let mut crlf = [0u8; 2];
         reader.read_exact(&mut crlf)?;
         if &crlf != b"\r\n" {
@@ -258,6 +256,22 @@ fn read_chunked_body<R: BufRead>(reader: &mut R) -> io::Result<Vec<u8>> {
         }
     }
     Ok(body)
+}
+
+/// Appends exactly `len` body bytes to `body`, growing it only as bytes
+/// arrive: a hostile declared size costs nothing until its bytes do,
+/// and reading into reserved capacity skips a zero-fill. EOF first is
+/// an `UnexpectedEof` transport error.
+fn read_body_bytes<R: BufRead>(reader: &mut R, body: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    body.reserve(len.min(64 * 1024));
+    let got = reader.take(len as u64).read_to_end(body)?;
+    if got < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-response-body",
+        ));
+    }
+    Ok(())
 }
 
 /// Reads one `\r\n`-terminated line, returned without the terminator.
@@ -296,6 +310,7 @@ fn read_crlf_line<R: BufRead>(reader: &mut R) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::any;
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -518,6 +533,122 @@ mod tests {
                     4;ext=1\r\ndata\r\n0\r\n\r\n";
         let r = read_framed_response(&mut BufReader::new(&raw[..])).unwrap();
         assert_eq!(r.body, "data");
+    }
+
+    #[test]
+    fn hostile_body_sizes_fail_without_allocating_them() {
+        // Each declares ~16 EiB: a buffer sized from the declaration
+        // would overflow capacity and panic before a body byte arrived.
+        for raw in [
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nshort"[..],
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nshort"[..],
+        ] {
+            let err = read_framed_response(&mut BufReader::new(raw)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        }
+    }
+
+    /// Serves `data` in reads of the scripted sizes (cycled), so a
+    /// decoder sees the same bytes split at arbitrary points.
+    struct SplitReader<'a> {
+        data: &'a [u8],
+        sizes: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Read for SplitReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let size = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = size.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Response heads for the decoder property, hostile sizes included.
+    const HEADS: &[&str] = &[
+        "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n",
+        "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nConnection: close\r\n\
+         Content-Length: 5\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nTransfer-Encoding: gzip, chunked\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n",
+        "HTTP/1.1 200 OK\r\n\r\n",
+    ];
+
+    /// Body pieces: content, chunk frames (extensions, the terminal
+    /// chunk, a hostile size) and a stray CRLF.
+    const BODIES: &[&str] = &[
+        "hello",
+        "5\r\nhello\r\n",
+        "3;ext=1\r\nabc\r\n",
+        "ffffffffffffffff\r\n",
+        "0\r\n\r\n",
+        "\r\n",
+    ];
+
+    /// Decodes every response in `reader` until the first error, which
+    /// ends the list as its kind and message.
+    fn decode_all<R: BufRead>(mut reader: R) -> Vec<Result<HttpResponse, (io::ErrorKind, String)>> {
+        let mut out = Vec::new();
+        loop {
+            match read_framed_response(&mut reader) {
+                Ok(response) => out.push(Ok(response)),
+                Err(e) => {
+                    out.push(Err((e.kind(), e.to_string())));
+                    return out;
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_decoder_split_reads_match_whole_stream(
+            responses in proptest::collection::vec(
+                (
+                    0..HEADS.len(),
+                    proptest::collection::vec(
+                        (0..BODIES.len() + 1, proptest::collection::vec(any::<u8>(), 0..6)),
+                        0..4
+                    )
+                ),
+                1..4
+            ),
+            noise in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..3),
+            mode in 0u8..3,
+            sizes in proptest::collection::vec(1usize..12, 1..8)
+        ) {
+            // Pipelined responses from the palettes, a body piece one
+            // index past its palette being arbitrary bytes; mode 1
+            // replaces a few bytes at random, mode 2 keeps only the
+            // arbitrary bytes.
+            let mut wire = Vec::new();
+            for (head, pieces) in &responses {
+                if mode != 2 {
+                    wire.extend_from_slice(HEADS[*head].as_bytes());
+                }
+                for (piece, bytes) in pieces {
+                    match BODIES.get(*piece).filter(|_| mode != 2) {
+                        Some(body) => wire.extend_from_slice(body.as_bytes()),
+                        None => wire.extend_from_slice(bytes),
+                    }
+                }
+            }
+            let len = wire.len();
+            for &(at, byte) in noise.iter().filter(|_| mode == 1 && len > 0) {
+                wire[at % len] = byte;
+            }
+            let whole = decode_all(BufReader::new(wire.as_slice()));
+            let split = decode_all(BufReader::new(SplitReader {
+                data: &wire,
+                sizes,
+                reads: 0,
+            }));
+            proptest::prop_assert_eq!(split, whole, "{:?}", String::from_utf8_lossy(&wire));
+        }
     }
 
     #[test]

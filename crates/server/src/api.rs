@@ -2366,11 +2366,8 @@ mod tests {
         // The shed response advertises a principled backoff, and the
         // header survives serialization.
         assert_eq!(resp.retry_after, Some(super::RETRY_AFTER_SECS));
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire).unwrap();
-        let wire = String::from_utf8(wire).unwrap();
-        let head = &wire[..wire.find("\r\n\r\n").unwrap()];
-        assert!(head.contains("Retry-After: 1"), "{head}");
+        let head = String::from_utf8(resp.head_bytes(false)).unwrap();
+        assert!(head.contains("\r\nRetry-After: 1\r\n"), "{head}");
     }
 
     #[test]

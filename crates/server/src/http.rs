@@ -5,15 +5,23 @@
 //! connections (`Connection` negotiation lives here; the lifecycle —
 //! budgets, idle reaping, pipelined replies — is the reactor's).
 //!
+//! There is one request parser, [`Request::parse`], over a byte buffer.
+//! It is prefix-stable: its checks run in byte order, so once a prefix
+//! of the stream gives a final result (a request, or a 400), every
+//! longer buffer gives the same one, and the reactor can parse after
+//! each read. [`Request::read_from`] is the same parser behind a
+//! blocking reader. Request bodies are `Content-Length` only; a request
+//! carrying `Transfer-Encoding` is rejected. Upgrades are out of scope.
+//!
 //! Responses carry a [`ResponseBody`]: either a fully materialized
 //! buffer served with `Content-Length` framing, or a pull-based
 //! [`BodyStream`] served with `Transfer-Encoding: chunked` framing so
-//! large exports never buffer whole in the reactor. Request bodies stay
-//! `Content-Length`-only; upgrades are out of scope.
+//! large exports never buffer whole in the reactor. The reactor writes
+//! both from [`Response::into_head_and_body`].
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read};
 
 /// Maximum accepted request body (4 MiB) — an upload of a full personal
 /// check-in history fits comfortably.
@@ -124,7 +132,7 @@ impl StatusCode {
 }
 
 /// A parsed HTTP request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Request method.
     pub method: Method,
@@ -167,18 +175,31 @@ impl Request {
         keep
     }
 
-    /// Reads and parses one request from a stream.
+    /// Parses one request from the front of `buf`, returning it with
+    /// the number of bytes it used (head + body); any bytes past that
+    /// belong to the next pipelined request.
+    ///
+    /// Prefix-stable: once a prefix gives a final result, every longer
+    /// buffer that starts with it gives the same result. The checks run
+    /// in byte order — the request line as soon as its `\n` arrives, a
+    /// line once it passes [`MAX_LINE_BYTES`], the header section once
+    /// it passes [`MAX_HEAD_BYTES`] — and none waits for the blank line
+    /// or a declared body, so a caller may parse after every read. An
+    /// incomplete buffer costs one scan of its head; the header map and
+    /// the body copy are built only once the request is complete.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` errors for malformed requests, oversized
-    /// heads/bodies, or unsupported methods.
-    pub fn read_from<R: Read>(reader: R) -> io::Result<Request> {
-        let mut reader = BufReader::new(reader);
-        // Request line: bounded and validated as UTF-8, so a hostile
-        // byte stream produces a 400 instead of an unbounded buffer.
-        let line = read_line_bounded(&mut reader, MAX_LINE_BYTES)?;
-        if line.trim_end().is_empty() {
+    /// `UnexpectedEof` while the request is incomplete: its message is
+    /// the 400 the client gets if the connection ends there.
+    /// `InvalidData` is final: a malformed request line or header, an
+    /// over-long line or head, a non-UTF-8 head, a bad, conflicting or
+    /// oversized `Content-Length`, or any `Transfer-Encoding` (request
+    /// bodies are `Content-Length` only).
+    pub fn parse(buf: &[u8]) -> io::Result<(Request, usize)> {
+        let (line, headers_start) = head_line(buf, 0, MAX_LINE_BYTES, "head line too long")?;
+        let line = line.trim_end();
+        if line.is_empty() {
             return Err(bad("empty request line"));
         }
         let mut parts = line.split_whitespace();
@@ -191,61 +212,103 @@ impl Request {
         if !version.starts_with("HTTP/1.") {
             return Err(bad("unsupported http version"));
         }
-        let http10 = version == "HTTP/1.0";
 
-        // Headers.
-        let mut headers = HashMap::new();
-        let mut head_len = 0usize;
+        // Header lines up to the blank one. A line may use what is left
+        // of the head budget; whichever limit its bytes cross first
+        // names the error.
+        let mut at = headers_start;
+        let mut content_length: Option<&str> = None;
         loop {
-            let hline = read_line_bounded(&mut reader, MAX_LINE_BYTES)?;
-            if hline.is_empty() {
-                // EOF before the blank terminator line.
-                return Err(bad("connection closed mid-headers"));
-            }
-            head_len += hline.len();
-            if head_len > MAX_HEAD_BYTES {
-                return Err(bad("header section too large"));
-            }
-            let trimmed = hline.trim_end();
-            if trimmed.is_empty() {
+            let room = MAX_HEAD_BYTES - (at - headers_start);
+            let (line, next) = if room < MAX_LINE_BYTES {
+                head_line(buf, at, room, "header section too large")?
+            } else {
+                head_line(buf, at, MAX_LINE_BYTES, "head line too long")?
+            };
+            at = next;
+            let line = line.trim_end();
+            if line.is_empty() {
                 break;
             }
-            if let Some((name, value)) = trimmed.split_once(':') {
-                let name = name.trim().to_ascii_lowercase();
-                let value = value.trim().to_owned();
-                // Folding duplicates into the map would let the last
-                // Content-Length silently win — the classic
-                // request-smuggling shape. Conflicting duplicates are
-                // fatal; identical repeats collapse (RFC 9112 §6.3).
-                if name == "content-length" && headers.get(&name).is_some_and(|prev| *prev != value)
-                {
+            let Some((name, value)) = line.split_once(':') else {
+                continue;
+            };
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("transfer-encoding") {
+                // A transfer-coded body would otherwise be read as the
+                // next pipelined request: the request-smuggling shape.
+                return Err(bad(
+                    "transfer-encoding is not supported; send the body with content-length",
+                ));
+            }
+            // Folding duplicates would let the last Content-Length
+            // silently win. Conflicting duplicates are fatal; identical
+            // repeats collapse (RFC 9112 §6.3).
+            if name.eq_ignore_ascii_case("content-length") {
+                if content_length.is_some_and(|prev| prev != value) {
                     return Err(bad("conflicting duplicate content-length headers"));
                 }
-                headers.insert(name, value);
+                content_length = Some(value);
             }
         }
+        let head_end = at;
 
-        // Body.
-        let content_length: usize = headers
-            .get("content-length")
-            .map(|v| v.parse().map_err(|_| bad("bad content-length")))
-            .transpose()?
-            .unwrap_or(0);
-        if content_length > MAX_BODY_BYTES {
+        // Body: `1*DIGIT` only — `usize::from_str` alone would take `+5`.
+        let body_len = match content_length {
+            None => 0,
+            Some(v) if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+                v.parse().map_err(|_| bad("bad content-length"))?
+            }
+            Some(_) => return Err(bad("bad content-length")),
+        };
+        if body_len > MAX_BODY_BYTES {
             return Err(bad("body too large"));
         }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
+        let Some(body) = buf.get(head_end..head_end + body_len) else {
+            return Err(incomplete("request body shorter than content-length"));
+        };
 
+        // Complete: every head line was checked as UTF-8 above.
+        let head = std::str::from_utf8(&buf[headers_start..head_end]).unwrap_or_default();
+        let headers = head
+            .lines()
+            .filter_map(|line| line.split_once(':'))
+            .map(|(name, value)| (name.trim().to_ascii_lowercase(), value.trim().to_owned()))
+            .collect();
         let (path, query) = split_target(target);
-        Ok(Request {
+        let request = Request {
             method,
             path,
             query,
             headers,
-            body,
-            http10,
-        })
+            body: body.to_vec(),
+            http10: version == "HTTP/1.0",
+        };
+        Ok((request, head_end + body_len))
+    }
+
+    /// Reads one request from a stream: reads, and [`Request::parse`]s
+    /// after each read, until the result is final or the stream ends.
+    /// Bytes read past the request are dropped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::parse`]; at end of stream, its `UnexpectedEof`.
+    /// Read errors propagate.
+    pub fn read_from<R: Read>(mut reader: R) -> io::Result<Request> {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 8192];
+        loop {
+            let n = match reader.read(&mut chunk) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                read => read?,
+            };
+            buf.extend_from_slice(&chunk[..n]);
+            match Request::parse(&buf) {
+                Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && n > 0 => {}
+                parsed => return parsed.map(|(request, _)| request),
+            }
+        }
     }
 }
 
@@ -253,157 +316,28 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_owned())
 }
 
-/// Finds the end of the request head in an accumulating byte buffer:
-/// the index just past the first empty (`\r\n` or bare `\n`) line, i.e.
-/// where the body begins. Returns `None` while the head is incomplete.
-///
-/// This mirrors [`Request::read_from`]'s line discipline (lines are
-/// `\n`-terminated; a trimmed-empty line ends the head) so the evented
-/// reader can detect completeness without consuming the stream, then
-/// hand the full bytes to the real parser.
-pub fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut start = 0;
-    while start < buf.len() {
-        let nl = buf[start..].iter().position(|&b| b == b'\n')?;
-        let line = &buf[start..start + nl];
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        // An empty first line is also "complete": the parser rejects it
-        // as "empty request line", an error the caller reaches by
-        // parsing the now-complete head.
-        if line.is_empty() {
-            return Some(start + nl + 1);
-        }
-        start += nl + 1;
-    }
-    None
+fn incomplete(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, msg.to_owned())
 }
 
-/// Outcome of [`scan_head`]: how many body bytes to expect, or a signal
-/// that the head is malformed and the authoritative parser should run
-/// immediately for its 400.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HeadScan {
-    /// The head is plausible and declares this many body bytes
-    /// (0 when `Content-Length` is absent).
-    BodyBytes(usize),
-    /// The head cannot be trusted (conflicting/unparseable
-    /// `Content-Length`, oversized or non-UTF-8 line, declared body
-    /// over [`MAX_BODY_BYTES`]): do not wait for a body — hand the
-    /// bytes to [`Request::read_from`] now and surface its error.
-    Malformed,
-}
-
-/// Scans a *complete* head (everything before the index returned by
-/// [`find_head_end`]) for the declared body length, with the same
-/// duplicate-`Content-Length` discipline as the full parser. Never
-/// authoritative: on [`HeadScan::Malformed`] the caller runs the real
-/// parser, whose error message is the one the client sees.
-pub fn scan_head(head: &[u8]) -> HeadScan {
-    let mut content_length: Option<usize> = None;
-    for (i, raw_line) in head.split(|&b| b == b'\n').enumerate() {
-        if raw_line.len() > MAX_LINE_BYTES {
-            return HeadScan::Malformed;
-        }
-        let Ok(line) = std::str::from_utf8(raw_line) else {
-            return HeadScan::Malformed;
-        };
-        if i == 0 {
-            continue; // the request line carries no body framing
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        let Some((name, value)) = trimmed.split_once(':') else {
-            continue;
-        };
-        if !name.trim().eq_ignore_ascii_case("content-length") {
-            continue;
-        }
-        let Ok(n) = value.trim().parse::<usize>() else {
-            return HeadScan::Malformed;
-        };
-        // Identical repeats collapse; conflicting duplicates are the
-        // request-smuggling shape the parser rejects — don't wait for
-        // either claimed body, reject now.
-        if content_length.is_some_and(|prev| prev != n) {
-            return HeadScan::Malformed;
-        }
-        if n > MAX_BODY_BYTES {
-            return HeadScan::Malformed;
-        }
-        content_length = Some(n);
+/// The head line starting at `buf[start]`, terminator included, and the
+/// index just past it. Final errors: the line passes `cap` bytes
+/// (`too_long` names the limit) or is not UTF-8. Incomplete until its
+/// `\n` arrives.
+fn head_line<'a>(
+    buf: &'a [u8],
+    start: usize,
+    cap: usize,
+    too_long: &str,
+) -> io::Result<(&'a str, usize)> {
+    let rest = &buf[start..];
+    match rest[..rest.len().min(cap)].iter().position(|&b| b == b'\n') {
+        Some(nl) => std::str::from_utf8(&rest[..=nl])
+            .map(|line| (line, start + nl + 1))
+            .map_err(|_| bad("head line is not valid utf-8")),
+        None if rest.len() > cap => Err(bad(too_long)),
+        None => Err(incomplete("connection closed mid-headers")),
     }
-    HeadScan::BodyBytes(content_length.unwrap_or(0))
-}
-
-/// Scans a complete head for the connection disposition the client
-/// asked for, mirroring [`Request::wants_keep_alive`]. Used by the
-/// reactor when it answers *without* running the full parser (the
-/// worker-queue-full 503 shed path), so a shed response under
-/// keep-alive does not kill a healthy client's pipeline. Agreement
-/// with the parser is unit-tested.
-pub fn scan_wants_keep_alive(head: &[u8]) -> bool {
-    let mut keep = true;
-    for (i, raw_line) in head.split(|&b| b == b'\n').enumerate() {
-        let Ok(line) = std::str::from_utf8(raw_line) else {
-            continue;
-        };
-        let trimmed = line.trim_end();
-        if i == 0 {
-            keep = !trimmed.ends_with("HTTP/1.0");
-            continue;
-        }
-        if trimmed.is_empty() {
-            break;
-        }
-        let Some((name, value)) = trimmed.split_once(':') else {
-            continue;
-        };
-        if !name.trim().eq_ignore_ascii_case("connection") {
-            continue;
-        }
-        for token in value.split(',') {
-            let token = token.trim();
-            if token.eq_ignore_ascii_case("close") {
-                keep = false;
-            } else if token.eq_ignore_ascii_case("keep-alive") {
-                keep = true;
-            }
-        }
-    }
-    keep
-}
-
-/// Reads one `\n`-terminated line of at most `limit` bytes. Returns an
-/// empty string at EOF; errors on an over-long line or non-UTF-8 bytes.
-fn read_line_bounded<R: BufRead>(reader: &mut R, limit: usize) -> io::Result<String> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            break; // EOF
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&available[..=pos]);
-                reader.consume(pos + 1);
-                break;
-            }
-            None => {
-                buf.extend_from_slice(available);
-                let n = available.len();
-                reader.consume(n);
-            }
-        }
-        if buf.len() > limit {
-            return Err(bad("head line too long"));
-        }
-    }
-    if buf.len() > limit {
-        return Err(bad("head line too long"));
-    }
-    String::from_utf8(buf).map_err(|_| bad("head line is not valid utf-8"))
 }
 
 /// Splits a request target into decoded path and query map.
@@ -748,51 +682,6 @@ impl Response {
     pub fn into_head_and_body(self, keep_alive: bool) -> (Vec<u8>, ResponseBody) {
         (self.head_bytes(keep_alive), self.body)
     }
-
-    /// Writes the response with closing semantics (`Connection:
-    /// close`) — the one-shot shape every pre-keep-alive caller
-    /// expects. The reactor threads the negotiated disposition through
-    /// [`Response::into_head_and_body`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the underlying stream.
-    pub fn write_to<W: Write>(self, writer: W) -> io::Result<()> {
-        self.write_to_with(writer, false)
-    }
-
-    /// Writes the response, announcing the negotiated connection
-    /// disposition: `Connection: keep-alive` when the connection
-    /// persists for another request, `Connection: close` on the final
-    /// response before the server hangs up. Streamed bodies are drained
-    /// synchronously in chunked framing; a producer error propagates
-    /// *without* the terminal chunk, mirroring the reactor's
-    /// abort-on-error contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from the underlying stream and from a
-    /// streamed body's producer.
-    pub fn write_to_with<W: Write>(self, mut writer: W, keep_alive: bool) -> io::Result<()> {
-        let (head, body) = self.into_head_and_body(keep_alive);
-        writer.write_all(&head)?;
-        match body {
-            ResponseBody::Full(bytes) => writer.write_all(&bytes)?,
-            ResponseBody::Stream(mut stream) => {
-                let mut frame = Vec::new();
-                while let Some(chunk) = stream.next_chunk()? {
-                    if chunk.is_empty() {
-                        continue;
-                    }
-                    frame.clear();
-                    encode_chunk(&mut frame, &chunk);
-                    writer.write_all(&frame)?;
-                }
-                writer.write_all(LAST_CHUNK)?;
-            }
-        }
-        writer.flush()
-    }
 }
 
 #[cfg(test)]
@@ -802,6 +691,11 @@ mod tests {
 
     fn parse(raw: &str) -> io::Result<Request> {
         Request::read_from(raw.as_bytes())
+    }
+
+    /// A response's serialized head as text.
+    fn head(response: &Response, keep_alive: bool) -> String {
+        String::from_utf8(response.head_bytes(keep_alive)).unwrap()
     }
 
     #[test]
@@ -830,6 +724,148 @@ mod tests {
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
         // Truncated body.
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc").is_err());
+        // Every rejection's exact message: the client reads it in the
+        // 400 envelope.
+        let long = "a".repeat(MAX_LINE_BYTES);
+        let mut many = String::from("GET /x HTTP/1.1\r\n");
+        for i in 0..((MAX_HEAD_BYTES / 80) + 2) {
+            many.push_str(&format!("X-Pad-{i}: {}\r\n", "p".repeat(80)));
+        }
+        many.push_str("\r\n");
+        let table: Vec<(Vec<u8>, &str)> =
+            vec![
+            (b"\r\n".to_vec(), "empty request line"),
+            (b" \t \n".to_vec(), "empty request line"),
+            (b"DELETE /x HTTP/1.1\r\n\r\n".to_vec(), "unsupported method"),
+            (b"GET\r\n\r\n".to_vec(), "missing request target"),
+            (b"GET /x SPDY/3\r\n\r\n".to_vec(), "unsupported http version"),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n".to_vec(),
+                "bad content-length",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: -1\r\n\r\n".to_vec(),
+                "bad content-length",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 18446744073709551616\r\n\r\n".to_vec(),
+                "bad content-length",
+            ),
+            (
+                format!("POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1)
+                    .into_bytes(),
+                "body too large",
+            ),
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello".to_vec(),
+                "conflicting duplicate content-length headers",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nHost: x\r\n".to_vec(),
+                "connection closed mid-headers",
+            ),
+            (
+                b"GET /\xff\xfe HTTP/1.1\r\n\r\n".to_vec(),
+                "head line is not valid utf-8",
+            ),
+            (
+                b"GET /x HTTP/1.1\r\nX-Bin: \xc3\x28\r\n\r\n".to_vec(),
+                "head line is not valid utf-8",
+            ),
+            (
+                format!("GET /{long} HTTP/1.1\r\n\r\n").into_bytes(),
+                "head line too long",
+            ),
+            (
+                format!("GET /x HTTP/1.1\r\nX-Pad: {long}\r\n\r\n").into_bytes(),
+                "head line too long",
+            ),
+            (many.into_bytes(), "header section too large"),
+            // `1*DIGIT` only (RFC 9112 §6.3): Rust's integer parser
+            // alone would read `+5` as 5.
+            (
+                b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".to_vec(),
+                "bad content-length",
+            ),
+            // Request bodies are Content-Length only; a chunked body's
+            // bytes must never be read as the next request.
+            (
+                b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+                    .to_vec(),
+                "transfer-encoding is not supported; send the body with content-length",
+            ),
+        ];
+        for (raw, message) in table {
+            let err = Request::read_from(raw.as_slice()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                message,
+                "{}",
+                String::from_utf8_lossy(&raw)
+            );
+        }
+    }
+
+    #[test]
+    fn parse_reports_the_bytes_it_used() {
+        let first = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        let mut wire = first.to_vec();
+        wire.extend_from_slice(b"GET /y HTTP/1.1\r\n\r\n");
+        let (req, used) = Request::parse(&wire).unwrap();
+        assert_eq!(
+            used,
+            first.len(),
+            "pipelined bytes are left for the next parse"
+        );
+        assert_eq!(req.body, b"hello");
+        let (req, used) = Request::parse(&wire[used..]).unwrap();
+        assert_eq!((req.path.as_str(), used), ("/y", wire.len() - first.len()));
+    }
+
+    #[test]
+    fn incomplete_requests_carry_the_message_for_a_closed_connection() {
+        let incomplete = |raw: &[u8]| {
+            let err = Request::parse(raw).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{raw:?}");
+            err.to_string()
+        };
+        assert_eq!(incomplete(b""), "connection closed mid-headers");
+        assert_eq!(incomplete(b"GET /x HT"), "connection closed mid-headers");
+        assert_eq!(
+            incomplete(b"GET /x HTTP/1.1\r\nHost"),
+            "connection closed mid-headers"
+        );
+        let short = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
+        assert_eq!(
+            incomplete(short),
+            "request body shorter than content-length"
+        );
+        // A stream that ends there reports the same.
+        let err = Request::read_from(&short[..]).unwrap_err();
+        assert_eq!(err.to_string(), "request body shorter than content-length");
+    }
+
+    #[test]
+    fn checks_are_final_without_waiting_for_the_head_or_body() {
+        let invalid = |raw: &[u8]| {
+            let err = Request::parse(raw).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{raw:?}");
+            err.to_string()
+        };
+        // The request line is judged as soon as its newline arrives.
+        assert_eq!(invalid(b"BREW /coffee HTTP/1.1\r\n"), "unsupported method");
+        // An unterminated line is judged at the line cap.
+        assert!(Request::parse(&[b'G'; MAX_LINE_BYTES])
+            .is_err_and(|e| e.kind() == io::ErrorKind::UnexpectedEof));
+        assert_eq!(invalid(&[b'G'; MAX_LINE_BYTES + 1]), "head line too long");
+        let mut raw = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
+        raw.resize(raw.len() + MAX_LINE_BYTES, b'p');
+        assert_eq!(invalid(&raw), "head line too long");
+        // A declared body is not awaited once the head condemns it.
+        assert_eq!(
+            invalid(b"POST /x HTTP/1.1\r\nContent-Length: +5\r\n\r\n"),
+            "bad content-length"
+        );
     }
 
     #[test]
@@ -971,89 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn head_end_detection_matches_the_parser() {
-        // Incomplete heads.
-        assert_eq!(find_head_end(b""), None);
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\nHost: x\r\n"), None);
-        // Complete heads, CRLF and bare LF.
-        let raw = b"GET / HTTP/1.1\r\nHost: x\r\n\r\nBODY";
-        assert_eq!(find_head_end(raw), Some(raw.len() - 4));
-        let raw = b"GET / HTTP/1.1\nHost: x\n\nBODY";
-        assert_eq!(find_head_end(raw), Some(raw.len() - 4));
-        // An empty first line is complete (the parser rejects it).
-        assert_eq!(find_head_end(b"\r\nrest"), Some(2));
-        // Binary junk with no newline never completes.
-        assert_eq!(find_head_end(&[0xff; 64]), None);
-    }
-
-    #[test]
-    fn head_scan_extracts_body_framing() {
-        assert_eq!(
-            scan_head(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n"),
-            HeadScan::BodyBytes(0)
-        );
-        assert_eq!(
-            scan_head(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\n"),
-            HeadScan::BodyBytes(5)
-        );
-        // Case-insensitive name, whitespace-tolerant value.
-        assert_eq!(
-            scan_head(b"POST /x HTTP/1.1\r\ncontent-length:  7 \r\n\r\n"),
-            HeadScan::BodyBytes(7)
-        );
-        // Identical repeats collapse like the parser's.
-        assert_eq!(
-            scan_head(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\n"),
-            HeadScan::BodyBytes(5)
-        );
-    }
-
-    #[test]
-    fn head_scan_flags_untrustworthy_heads() {
-        // Conflicting duplicates (request-smuggling shape).
-        assert_eq!(
-            scan_head(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n"),
-            HeadScan::Malformed
-        );
-        // Unparseable length.
-        assert_eq!(
-            scan_head(b"POST /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
-            HeadScan::Malformed
-        );
-        // Declared body over the cap.
-        let huge = format!(
-            "POST /x HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY_BYTES + 1
-        );
-        assert_eq!(scan_head(huge.as_bytes()), HeadScan::Malformed);
-        // Non-UTF-8 header line.
-        assert_eq!(
-            scan_head(b"GET /x HTTP/1.1\r\nX-Bin: \xc3\x28\r\n\r\n"),
-            HeadScan::Malformed
-        );
-        // A single over-long line.
-        let long = format!(
-            "GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
-            "p".repeat(MAX_LINE_BYTES)
-        );
-        assert_eq!(scan_head(long.as_bytes()), HeadScan::Malformed);
-    }
-
-    #[test]
-    fn scanned_complete_requests_parse_identically() {
-        // Completeness detection + real parse must agree end to end.
-        let raw = b"POST /api/upload HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let head_end = find_head_end(raw).unwrap();
-        let HeadScan::BodyBytes(n) = scan_head(&raw[..head_end]) else {
-            panic!("well-formed head misflagged");
-        };
-        assert_eq!(head_end + n, raw.len());
-        let req = Request::read_from(&raw[..head_end + n]).unwrap();
-        assert_eq!(req.body, b"hello");
-    }
-
-    #[test]
     fn keep_alive_negotiation_follows_version_and_header() {
         // HTTP/1.1 defaults to keep-alive; 1.0 defaults to close.
         assert!(parse("GET /x HTTP/1.1\r\n\r\n").unwrap().wants_keep_alive());
@@ -1074,42 +1027,11 @@ mod tests {
     }
 
     #[test]
-    fn head_scan_agrees_with_the_parser_on_disposition() {
-        for raw in [
-            "GET /x HTTP/1.1\r\nHost: a\r\n\r\n",
-            "GET /x HTTP/1.0\r\nHost: a\r\n\r\n",
-            "GET /x HTTP/1.1\r\nConnection: close\r\n\r\n",
-            "GET /x HTTP/1.0\r\nconnection: keep-alive\r\n\r\n",
-            "POST /x HTTP/1.1\r\nConnection: Keep-Alive, Close\r\nContent-Length: 0\r\n\r\n",
-        ] {
-            let parsed = parse(raw).unwrap().wants_keep_alive();
-            let scanned = scan_wants_keep_alive(raw.as_bytes());
-            assert_eq!(parsed, scanned, "parser/scanner disagree on {raw:?}");
-        }
-    }
-
-    #[test]
     fn response_announces_the_negotiated_disposition() {
-        let mut keep = Vec::new();
-        Response::json("{}".to_owned())
-            .write_to_with(&mut keep, true)
-            .unwrap();
-        let keep = String::from_utf8(keep).unwrap();
+        let keep = head(&Response::json("{}".to_owned()), true);
         assert!(keep.contains("\r\nConnection: keep-alive\r\n"), "{keep}");
-        let mut close = Vec::new();
-        Response::json("{}".to_owned())
-            .write_to_with(&mut close, false)
-            .unwrap();
-        let close = String::from_utf8(close).unwrap();
+        let close = head(&Response::json("{}".to_owned()), false);
         assert!(close.contains("\r\nConnection: close\r\n"), "{close}");
-        // The legacy entry point stays one-shot.
-        let mut legacy = Vec::new();
-        Response::json("{}".to_owned())
-            .write_to(&mut legacy)
-            .unwrap();
-        assert!(String::from_utf8(legacy)
-            .unwrap()
-            .contains("\r\nConnection: close\r\n"));
     }
 
     #[test]
@@ -1122,36 +1044,27 @@ mod tests {
 
     #[test]
     fn response_serialization() {
-        let mut buf = Vec::new();
-        Response::json("{\"ok\":true}".to_owned())
-            .write_to(&mut buf)
-            .unwrap();
-        let s = String::from_utf8(buf).unwrap();
+        let r = Response::json("{\"ok\":true}".to_owned());
+        let s = head(&r, false);
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("Content-Length: 11"));
-        assert!(s.ends_with("{\"ok\":true}"));
+        assert!(s.ends_with("\r\n\r\n"));
+        assert_eq!(r.into_body_bytes(), b"{\"ok\":true}");
     }
 
     #[test]
     fn retry_after_header_is_emitted_when_set() {
-        let mut buf = Vec::new();
-        Response::error(StatusCode::ServiceUnavailable, "queue full")
-            .with_retry_after(2)
-            .write_to(&mut buf)
-            .unwrap();
-        let s = String::from_utf8(buf).unwrap();
+        let r = Response::error(StatusCode::ServiceUnavailable, "queue full").with_retry_after(2);
+        let s = head(&r, false);
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(s.contains("\r\nRetry-After: 2\r\n"));
         // The header belongs to the head, before the blank separator.
-        let head_end = s.find("\r\n\r\n").unwrap();
-        assert!(s[..head_end].contains("Retry-After: 2"));
+        assert!(s.ends_with("\r\n\r\n"), "{s}");
     }
 
     #[test]
     fn retry_after_header_is_absent_by_default() {
-        let mut buf = Vec::new();
-        Response::json("{}".to_owned()).write_to(&mut buf).unwrap();
-        assert!(!String::from_utf8(buf).unwrap().contains("Retry-After"));
+        assert!(!head(&Response::json("{}".to_owned()), false).contains("Retry-After"));
     }
 
     #[test]
@@ -1240,16 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_response_serializes_with_terminal_chunk() {
-        let mut buf = Vec::new();
-        Response::stream("text/plain", windows(b"abcdef"))
-            .write_to_with(&mut buf, false)
-            .unwrap();
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("\r\n\r\n6\r\nabcdef\r\n0\r\n\r\n"), "{s}");
-    }
-
-    #[test]
     fn collected_stream_body_matches_the_source_bytes() {
         let body = vec![42u8; 3 * STREAM_CHUNK_BYTES + 17];
         let r = Response::stream("text/plain", windows(&body));
@@ -1267,40 +1170,142 @@ mod tests {
 
     #[test]
     fn not_modified_response_is_empty_with_etag() {
-        let mut buf = Vec::new();
-        Response::not_modified("\"nyc-e7\"")
-            .write_to_with(&mut buf, true)
-            .unwrap();
-        let s = String::from_utf8(buf).unwrap();
+        let r = Response::not_modified("\"nyc-e7\"");
+        let s = head(&r, true);
         assert!(s.starts_with("HTTP/1.1 304 Not Modified\r\n"), "{s}");
         assert!(s.contains("\r\nContent-Length: 0\r\n"), "{s}");
         assert!(s.contains("\r\nETag: \"nyc-e7\"\r\n"), "{s}");
         assert!(s.ends_with("\r\n\r\n"), "{s}");
+        assert!(r.into_body_bytes().is_empty());
     }
 
-    #[test]
-    fn mid_stream_error_propagates_without_terminal_chunk() {
-        struct Failing(u32);
-        impl BodyStream for Failing {
-            fn next_chunk(&mut self) -> io::Result<Option<Vec<u8>>> {
-                self.0 += 1;
-                if self.0 == 1 {
-                    Ok(Some(b"partial".to_vec()))
+    /// Request lines for the wire generator: well-formed ones and the
+    /// shapes the parser must reject.
+    const REQUEST_LINES: &[&str] = &[
+        "GET /api/v1/crowd?hour=9&q=a+b%20c HTTP/1.1",
+        "POST /api/v1/upload HTTP/1.1",
+        "GET /a%2Fb+c%zz HTTP/1.0",
+        "GET /HTTP/1.0",
+        "GET",
+        "BREW /coffee HTCPCP/1.0",
+        "GET /x SPDY/3",
+        "",
+        "get /x HTTP/1.1 trailing",
+    ];
+
+    /// Header lines for the wire generator, odd framing values included.
+    const HEADERS: &[&str] = &[
+        "Host: x",
+        "Content-Length: 5",
+        "content-length:  5 ",
+        "Content-Length: 0",
+        "Content-Length: 3",
+        "Content-Length: +5",
+        "Content-Length: 18446744073709551616",
+        "Content-Length: nope",
+        "Connection: close",
+        "Connection: keep-alive",
+        "Connection: Keep-Alive, Close",
+        "Transfer-Encoding: chunked",
+        "no colon here",
+        "X-Utf8: é",
+        "  ",
+    ];
+
+    const EOLS: &[&str] = &["\r\n", "\n"];
+
+    /// One request built from the palettes: a request line, headers, a
+    /// blank line and a few arbitrary body bytes.
+    fn wire_request() -> impl Strategy<Value = Vec<u8>> {
+        (
+            (0..REQUEST_LINES.len(), 0..EOLS.len()),
+            proptest::collection::vec((0..HEADERS.len(), 0..EOLS.len()), 0..5),
+            0..EOLS.len(),
+            proptest::collection::vec(any::<u8>(), 0..8),
+        )
+            .prop_map(|((line, eol), headers, end, body)| {
+                let mut wire = format!("{}{}", REQUEST_LINES[line], EOLS[eol]);
+                for (header, eol) in headers {
+                    wire.push_str(HEADERS[header]);
+                    wire.push_str(EOLS[eol]);
+                }
+                wire.push_str(EOLS[end]);
+                let mut wire = wire.into_bytes();
+                wire.extend_from_slice(&body);
+                wire
+            })
+    }
+
+    /// A parse result reduced to what must match across prefixes: the
+    /// request and bytes used, or the error kind and message.
+    type Outcome = Result<(Request, usize), (io::ErrorKind, String)>;
+
+    fn outcome(parsed: io::Result<(Request, usize)>) -> Outcome {
+        parsed.map_err(|e| (e.kind(), e.to_string()))
+    }
+
+    proptest! {
+        #[test]
+        fn prop_parse_is_prefix_stable(
+            requests in proptest::collection::vec(wire_request(), 1..4),
+            noise in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<bool>()), 0..3),
+            raw in proptest::collection::vec(any::<u8>(), 0..48),
+            mode in 0u8..4
+        ) {
+            // Mode 0: arbitrary bytes. Otherwise pipelined palette
+            // requests, from mode 2 on with a few bytes replaced or
+            // inserted at random.
+            let mut wire = if mode == 0 { raw } else { requests.concat() };
+            for &(at, byte, insert) in noise.iter().filter(|_| mode >= 2) {
+                let at = at % (wire.len() + 1);
+                if insert || at == wire.len() {
+                    wire.insert(at, byte);
                 } else {
-                    Err(io::Error::other("producer died"))
+                    wire[at] = byte;
                 }
             }
+            let whole = outcome(Request::parse(&wire));
+            if let Ok((_, used)) = &whole {
+                prop_assert!(*used <= wire.len());
+            }
+            for cut in 0..=wire.len() {
+                let prefix = outcome(Request::parse(&wire[..cut]));
+                if !matches!(&prefix, Err((io::ErrorKind::UnexpectedEof, _))) {
+                    prop_assert_eq!(
+                        &prefix,
+                        &whole,
+                        "prefix of {} bytes of {:?}",
+                        cut,
+                        String::from_utf8_lossy(&wire)
+                    );
+                }
+            }
+            // The stream reader is the same parser behind reads.
+            let read = Request::read_from(wire.as_slice()).map_err(|e| (e.kind(), e.to_string()));
+            prop_assert_eq!(read, whole.map(|(request, _)| request));
         }
-        let mut buf = Vec::new();
-        let err = Response::stream("text/plain", Box::new(Failing(0)))
-            .write_to_with(&mut buf, false)
-            .unwrap_err();
-        assert_eq!(err.to_string(), "producer died");
-        let s = String::from_utf8(buf).unwrap();
-        assert!(s.contains("7\r\npartial\r\n"), "{s}");
-        assert!(
-            !s.contains("0\r\n\r\n"),
-            "terminal chunk must be absent: {s}"
-        );
+
+        #[test]
+        fn prop_parse_unterminated_oversized_head_is_final(
+            line in 0..REQUEST_LINES.len(),
+            lens in proptest::collection::vec(1usize..2 * MAX_LINE_BYTES, 1..40),
+            eol in 0..EOLS.len(),
+            extra in 0usize..4096
+        ) {
+            // Lines that are never blank, cut past the bound (often
+            // mid-line): no head terminator anywhere.
+            let bound = MAX_HEAD_BYTES + MAX_LINE_BYTES;
+            let mut wire = format!("{}{}", REQUEST_LINES[line], EOLS[eol]).into_bytes();
+            for (i, &len) in lens.iter().cycle().enumerate() {
+                if wire.len() > bound + extra {
+                    break;
+                }
+                wire.extend(std::iter::repeat_n(b'a' + (i % 26) as u8, len));
+                wire.extend_from_slice(EOLS[(i + eol) % EOLS.len()].as_bytes());
+            }
+            wire.truncate(bound + 1 + extra);
+            let err = Request::parse(&wire).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{}", err);
+        }
     }
 }

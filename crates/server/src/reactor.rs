@@ -23,14 +23,14 @@
 //!            accept (cap-checked, else immediate 503 + close)
 //!              │
 //!              ▼
-//!   ┌──────── Reading ────────┐   bytes accumulate; head end and
-//!   │  buf / head_end / want  │   Content-Length detected by the
-//!   └──────────┬──────────────┘   scanners in `http` (the hardened
-//!              │ complete | EOF    parser stays authoritative)
+//!   ┌──────── Reading ────────┐   bytes accumulate; `Request::parse`
+//!   │           buf           │   runs after each read (prefix-stable,
+//!   └──────────┬──────────────┘   so a final result never changes)
+//!              │ request | parse error | EOF
 //!              ▼
-//!          Dispatched ────────── job on the worker pool: parse with
-//!              │                 `Request::read_from`, route, record
-//!              │ response bytes  metrics, serialize with the
+//!          Dispatched ────────── job on the worker pool: route the
+//!              │                 parsed request (or 400 the error),
+//!              │ response bytes  record metrics, serialize with the
 //!              ▼                 negotiated disposition
 //!           Writing ──────────── nonblocking writes until drained
 //!              │                 (a stream: one window per pass)
@@ -50,10 +50,7 @@
 //! honouring the connection's negotiated keep-alive, so shedding one
 //! request does not kill a healthy client's pipeline.
 
-use crate::http::{
-    encode_chunk, find_head_end, scan_head, scan_wants_keep_alive, BodyStream, HeadScan,
-    ResponseBody, LAST_CHUNK, MAX_HEAD_BYTES, MAX_LINE_BYTES,
-};
+use crate::http::{encode_chunk, BodyStream, ResponseBody, LAST_CHUNK};
 use crate::sys::{self, Interest, PollSet, Readiness, Waker};
 use crate::{AppState, Request, Response, Router, StatusCode};
 use crowdweb_exec::{PoolSaturated, WorkerPool};
@@ -115,26 +112,41 @@ impl Default for ReactorConfig {
     }
 }
 
-/// A worker's serialized response: either every byte up front
-/// (`Content-Length` framing) or the head plus a live chunk producer
-/// the write path pulls as the socket drains.
-enum Payload {
-    /// Head + body serialized into one buffer.
-    Full(Vec<u8>),
-    /// Serialized head (declaring `Transfer-Encoding: chunked`) and
-    /// the producer of the body chunks, with the canonical route label
-    /// for the streamed-bytes metrics.
-    Stream {
-        head: Vec<u8>,
-        body: Box<dyn BodyStream>,
-        route: String,
-    },
+/// A response serialized for the write path, with the disposition its
+/// head announces.
+struct Payload {
+    /// The head, with the whole body appended under `Content-Length`
+    /// framing.
+    bytes: Vec<u8>,
+    /// A chunked body's producer, pulled as the socket drains, with the
+    /// canonical route label for the streamed-bytes metrics.
+    stream: Option<(Box<dyn BodyStream>, String)>,
+    keep_alive: bool,
 }
 
-/// Token-addressed completion from a worker: the response payload plus
-/// the negotiated keep-alive disposition, or `None` when the
-/// connection should just be dropped.
-type Completion = (u64, Option<(Payload, bool)>);
+impl Payload {
+    /// The one response serializer, for worker responses and the
+    /// loop's own 503s alike.
+    fn new(response: Response, keep_alive: bool, route: &str) -> Payload {
+        let (mut bytes, body) = response.into_head_and_body(keep_alive);
+        let stream = match body {
+            ResponseBody::Full(body) => {
+                bytes.extend_from_slice(&body);
+                None
+            }
+            ResponseBody::Stream(body) => Some((body, route.to_owned())),
+        };
+        Payload {
+            bytes,
+            stream,
+            keep_alive,
+        }
+    }
+}
+
+/// Token-addressed completion from a worker: the serialized response,
+/// or `None` when the connection should just be dropped.
+type Completion = (u64, Option<Payload>);
 
 /// What happens once a `Writing` buffer drains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,14 +158,9 @@ enum WriteThen {
 }
 
 enum ConnState {
-    /// Accumulating request bytes until the head terminator and the
-    /// declared body length are both satisfied.
-    Reading {
-        buf: Vec<u8>,
-        head_end: Option<usize>,
-        /// Total bytes (head + body) that make the request complete.
-        want: Option<usize>,
-    },
+    /// Accumulating request bytes until `Request::parse` gives a final
+    /// result.
+    Reading { buf: Vec<u8> },
     /// A worker owns the request; the loop only waits.
     Dispatched,
     /// Serialized response bytes draining through nonblocking writes.
@@ -228,11 +235,7 @@ impl Conn {
         let accepted_at = Instant::now();
         Conn {
             stream,
-            state: ConnState::Reading {
-                buf: Vec::new(),
-                head_end: None,
-                want: None,
-            },
+            state: ConnState::Reading { buf: Vec::new() },
             started: accepted_at,
             deadline: Some(accepted_at + read_timeout),
             served: 0,
@@ -265,7 +268,7 @@ impl Conn {
     /// with nothing buffered — the reap of such a connection is
     /// housekeeping, not client misbehaviour.
     fn idle_between_requests(&self) -> bool {
-        matches!(&self.state, ConnState::Reading { buf, .. }
+        matches!(&self.state, ConnState::Reading { buf }
             if self.served > 0 && buf.is_empty())
     }
 }
@@ -453,13 +456,14 @@ pub(crate) fn run(
                             // refusal drains). The request was never
                             // read, so the refusal always closes.
                             metrics.rejected_cap.inc();
+                            let refusal = Response::error(
+                                StatusCode::ServiceUnavailable,
+                                "connection limit reached",
+                            );
                             queue_response(
                                 &mut conn,
-                                Response::error(
-                                    StatusCode::ServiceUnavailable,
-                                    "connection limit reached",
-                                ),
-                                false,
+                                Payload::new(refusal, false, ""),
+                                &metrics,
                                 config.write_timeout,
                             );
                         }
@@ -478,34 +482,14 @@ pub(crate) fn run(
         let mut closed: Vec<u64> = Vec::new();
         while let Ok((token, payload)) = done_rx.try_recv() {
             progressed = true;
-            match payload {
-                Some((payload, keep_alive)) => {
-                    if let Some(conn) = conns.get_mut(&token) {
-                        let keep = keep_alive && !conn.saw_eof;
-                        let (buf, stream) = match payload {
-                            Payload::Full(bytes) => (bytes, None),
-                            Payload::Stream { head, body, route } => {
-                                (head, Some(LiveStream::new(body, &route, &metrics)))
-                            }
-                        };
-                        conn.state = ConnState::Writing {
-                            buf,
-                            written: 0,
-                            then: if keep {
-                                WriteThen::Continue
-                            } else {
-                                WriteThen::Close
-                            },
-                            stream,
-                        };
-                        conn.deadline = Some(Instant::now() + config.write_timeout);
-                        if matches!(drive(token, conn, &ctx), Drive::Close) {
-                            closed.push(token);
-                        }
-                    }
-                }
-                None => {
-                    conns.remove(&token);
+            let Some(payload) = payload else {
+                conns.remove(&token);
+                continue;
+            };
+            if let Some(conn) = conns.get_mut(&token) {
+                queue_response(conn, payload, &metrics, config.write_timeout);
+                if matches!(drive(token, conn, &ctx), Drive::Close) {
+                    closed.push(token);
                 }
             }
         }
@@ -591,21 +575,28 @@ pub(crate) fn run(
     drop(pool); // drains queued jobs and joins every worker
 }
 
-/// Serializes a loop-generated response (over-cap or pool-saturated
-/// 503) and moves the connection straight to `Writing`, honouring the
-/// connection's negotiated disposition.
-fn queue_response(conn: &mut Conn, response: Response, keep_alive: bool, write_timeout: Duration) {
-    let mut out = Vec::new();
-    let _ = response.write_to_with(&mut out, keep_alive);
+/// Moves a connection to `Writing` a serialized response: a worker's,
+/// or the loop's own over-cap or pool-saturated 503. The connection
+/// stays open afterwards only if the response announced keep-alive and
+/// the client has not half-closed.
+fn queue_response(
+    conn: &mut Conn,
+    payload: Payload,
+    metrics: &ReactorMetrics,
+    write_timeout: Duration,
+) {
+    let keep = payload.keep_alive && !conn.saw_eof;
     conn.state = ConnState::Writing {
-        buf: out,
+        buf: payload.bytes,
         written: 0,
-        then: if keep_alive {
+        then: if keep {
             WriteThen::Continue
         } else {
             WriteThen::Close
         },
-        stream: None,
+        stream: payload
+            .stream
+            .map(|(body, route)| LiveStream::new(body, &route, metrics)),
     };
     conn.deadline = Some(Instant::now() + write_timeout);
 }
@@ -656,25 +647,27 @@ fn drive(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
 fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     // A pipelined request may already be complete in the buffer from
     // the previous drain — serve it before touching the socket.
-    if reading_complete(conn) {
-        dispatch(token, conn, ctx);
+    if let Some(parsed) = accumulate(conn, &[]) {
+        dispatch(token, conn, ctx, parsed);
         return Drive::Progress;
     }
     let mut progressed = false;
     loop {
         let mut chunk = [0u8; 8192];
         match conn.stream.read(&mut chunk) {
-            // EOF: the client finished (or gave up) — finalize with
-            // whatever arrived. The parser decides between a request,
-            // a 400, or nothing to say; a clean between-requests close
-            // deserves silence, not an error.
+            // EOF: the client finished (or gave up). A clean
+            // between-requests close deserves silence; a request cut
+            // short gets the 400 its pending `UnexpectedEof` names.
             Ok(0) => {
                 conn.saw_eof = true;
-                let empty = matches!(&conn.state, ConnState::Reading { buf, .. } if buf.is_empty());
-                if empty {
+                let ConnState::Reading { buf } = &conn.state else {
+                    return Drive::Close;
+                };
+                if buf.is_empty() {
                     return Drive::Close;
                 }
-                dispatch(token, conn, ctx);
+                let parsed = Request::parse(buf);
+                dispatch(token, conn, ctx, parsed);
                 return Drive::Progress;
             }
             Ok(n) => {
@@ -687,8 +680,8 @@ fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
                     conn.started = Instant::now();
                     conn.deadline = Some(Instant::now() + ctx.config.read_timeout);
                 }
-                if accumulate(conn, &chunk[..n]) {
-                    dispatch(token, conn, ctx);
+                if let Some(parsed) = accumulate(conn, &chunk[..n]) {
+                    dispatch(token, conn, ctx, parsed);
                     return Drive::Progress;
                 }
             }
@@ -704,56 +697,26 @@ fn drive_read(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
     }
 }
 
-/// Whether the `Reading` buffer already holds a complete request.
-fn reading_complete(conn: &mut Conn) -> bool {
-    matches!(conn.state, ConnState::Reading { .. }) && accumulate(conn, &[])
-}
-
-/// Extends the read buffer and re-evaluates completeness. Returns true
-/// once the buffered bytes should go to a worker.
-fn accumulate(conn: &mut Conn, bytes: &[u8]) -> bool {
-    let ConnState::Reading {
-        buf,
-        head_end,
-        want,
-    } = &mut conn.state
-    else {
-        return false;
+/// Extends the read buffer and parses it: the final parse result, or
+/// `None` while the request is incomplete.
+fn accumulate(conn: &mut Conn, bytes: &[u8]) -> Option<io::Result<(Request, usize)>> {
+    let ConnState::Reading { buf } = &mut conn.state else {
+        return None;
     };
     buf.extend_from_slice(bytes);
-    if head_end.is_none() {
-        *head_end = find_head_end(buf);
-        match *head_end {
-            Some(end) => {
-                *want = Some(match scan_head(&buf[..end]) {
-                    HeadScan::BodyBytes(n) => end + n,
-                    // Untrustworthy head: don't wait for a body that
-                    // may never come — parse now for the real 400.
-                    HeadScan::Malformed => end,
-                });
-            }
-            // A head that exceeds every parser bound without ever
-            // terminating gets parsed as-is; `read_line_bounded` and
-            // the head-size cap turn it into the right 400.
-            None if buf.len() > MAX_HEAD_BYTES + MAX_LINE_BYTES => {
-                *want = Some(buf.len());
-            }
-            None => {}
-        }
+    match Request::parse(buf) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
+        parsed => Some(parsed),
     }
-    want.is_some_and(|w| buf.len() >= w)
 }
 
-/// Moves a connection to `Dispatched` and hands its buffered request to
-/// the worker pool; bytes pipelined beyond the request stay behind for
-/// the next round. On a saturated pool the event thread sheds load
-/// itself with a 503 that honours the connection's keep-alive.
-fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
-    let ConnState::Reading {
-        mut buf,
-        head_end,
-        want,
-    } = std::mem::replace(&mut conn.state, ConnState::Dispatched)
+/// Moves a connection to `Dispatched` and hands its parsed request (or
+/// the parse error, for a 400) to the worker pool; bytes pipelined
+/// beyond the request stay behind for the next round. On a saturated
+/// pool the event thread sheds load itself with a 503 that honours the
+/// request's keep-alive.
+fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>, parsed: io::Result<(Request, usize)>) {
+    let ConnState::Reading { mut buf } = std::mem::replace(&mut conn.state, ConnState::Dispatched)
     else {
         return;
     };
@@ -761,16 +724,16 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
     if conn.served > 0 {
         ctx.metrics.keepalive_reuses.inc();
     }
-    let take = want.unwrap_or(buf.len()).min(buf.len());
-    conn.pending = buf.split_off(take);
+    let parsed = parsed.map(|(request, used)| {
+        conn.pending = buf.split_off(used);
+        request
+    });
     // The keep-alive offer this request is allowed: budget not yet
     // exhausted by this request, and the client still able to send
-    // more (no half-close seen).
+    // more (no half-close seen). A request that failed to parse
+    // forfeits its framing, so it always closes.
     let allow_keep_alive = conn.served + 1 < ctx.config.keep_alive_requests.max(1) && !conn.saw_eof;
-    // The shed path answers without parsing, so its disposition comes
-    // from a head scan — computed now, before `buf` moves into the job.
-    let shed_keep_alive = allow_keep_alive
-        && head_end.is_some_and(|end| scan_wants_keep_alive(&buf[..end.min(buf.len())]));
+    let shed_keep_alive = allow_keep_alive && parsed.as_ref().is_ok_and(Request::wants_keep_alive);
     let started = conn.started;
     let state = Arc::clone(ctx.state);
     let router = Arc::clone(ctx.router);
@@ -778,20 +741,15 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
     let done = ctx.done_tx.clone();
     let waker = ctx.waker.clone();
     let job = move || {
-        let payload = execute(&buf, allow_keep_alive, &state, &router, &registry, started).map(
-            |(r, keep, route)| {
-                let (mut head, body) = r.into_head_and_body(keep);
-                let payload = match body {
-                    ResponseBody::Full(bytes) => {
-                        head.reserve(bytes.len());
-                        head.extend_from_slice(&bytes);
-                        Payload::Full(head)
-                    }
-                    ResponseBody::Stream(body) => Payload::Stream { head, body, route },
-                };
-                (payload, keep)
-            },
-        );
+        let payload = execute(
+            parsed,
+            allow_keep_alive,
+            &state,
+            &router,
+            &registry,
+            started,
+        )
+        .map(|(response, keep, route)| Payload::new(response, keep, &route));
         let _ = done.send((token, payload));
         // Poke the event loop out of `poll` — without this the
         // response would wait for the next unrelated event or timeout.
@@ -800,80 +758,62 @@ fn dispatch(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) {
     if let Err(PoolSaturated(job)) = ctx.pool.try_execute(job) {
         drop(job);
         ctx.metrics.rejected_busy.inc();
-        // The request was read and well-formed — shedding it must not
-        // cost the client its connection if keep-alive was negotiated.
+        // Shedding a well-formed request must not cost the client its
+        // connection if keep-alive was negotiated.
+        let shed = Response::error(StatusCode::ServiceUnavailable, "worker queue full")
+            .with_retry_after(crate::api::RETRY_AFTER_SECS);
         queue_response(
             conn,
-            Response::error(StatusCode::ServiceUnavailable, "worker queue full")
-                .with_retry_after(crate::api::RETRY_AFTER_SECS),
-            shed_keep_alive,
+            Payload::new(shed, shed_keep_alive, ""),
+            ctx.metrics,
             ctx.config.write_timeout,
         );
     }
 }
 
-/// Parses and routes one buffered request on a worker thread. Returns
-/// the response to write, the negotiated keep-alive disposition, and
-/// the canonical route label (for streamed-body metrics), or `None`
-/// when the connection deserves nothing (unreadable stream, panicking
-/// handler).
+/// Routes one parsed request on a worker thread. Returns the response
+/// to write, the negotiated keep-alive disposition, and the canonical
+/// route label (for streamed-body metrics), or `None` when the
+/// connection deserves nothing (panicking handler).
 fn execute(
-    bytes: &[u8],
+    parsed: io::Result<Request>,
     allow_keep_alive: bool,
     state: &AppState,
     router: &Router<AppState>,
     registry: &MetricsRegistry,
     started: Instant,
 ) -> Option<(Response, bool, String)> {
-    match Request::read_from(bytes) {
-        Ok(request) => {
-            let keep = allow_keep_alive && request.wants_keep_alive();
-            // A panicking handler must not take the worker down or leak
-            // the connection: catch, drop the connection, keep serving.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                router.dispatch(state, &request)
-            }));
-            match result {
-                Ok((response, route)) => {
-                    let route = route.unwrap_or("unmatched").to_owned();
-                    record_access(
-                        registry,
-                        &request.method.to_string(),
-                        &route,
-                        &response,
-                        request.body.len(),
-                        started,
-                    );
-                    Some((response, keep, route))
-                }
-                Err(_) => {
-                    eprintln!("crowdweb: connection handler panicked; worker recovered");
-                    None
-                }
-            }
-        }
-        // Malformed head (InvalidData) or a body shorter than its
-        // Content-Length (read_exact → UnexpectedEof): the client sent
-        // a broken request and deserves a 400, not a silent drop. A
-        // broken request also forfeits its framing, so the connection
-        // always closes after the 400.
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
-            ) =>
-        {
-            let message = if e.kind() == io::ErrorKind::UnexpectedEof {
-                "request body shorter than content-length".to_owned()
-            } else {
-                e.to_string()
-            };
-            let response = Response::error(StatusCode::BadRequest, &message);
+    let request = match parsed {
+        Ok(request) => request,
+        // A malformed or cut-short request deserves a 400 carrying the
+        // parser's message, not a silent drop. It also forfeits its
+        // framing, so the connection always closes after the 400.
+        Err(e) => {
+            let response = Response::error(StatusCode::BadRequest, &e.to_string());
             record_access(registry, "invalid", "unparsed", &response, 0, started);
-            Some((response, false, "unparsed".to_owned()))
+            return Some((response, false, "unparsed".to_owned()));
         }
-        Err(_) => None,
-    }
+    };
+    let keep = allow_keep_alive && request.wants_keep_alive();
+    // A panicking handler must not take the worker down or leak the
+    // connection: catch, drop the connection, keep serving.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        router.dispatch(state, &request)
+    }));
+    let Ok((response, route)) = result else {
+        eprintln!("crowdweb: connection handler panicked; worker recovered");
+        return None;
+    };
+    let route = route.unwrap_or("unmatched").to_owned();
+    record_access(
+        registry,
+        &request.method.to_string(),
+        &route,
+        &response,
+        request.body.len(),
+        started,
+    );
+    Some((response, keep, route))
 }
 
 fn drive_write(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
@@ -969,11 +909,7 @@ fn drive_write(token: u64, conn: &mut Conn, ctx: &Ctx<'_>) -> Drive {
             conn.started = Instant::now();
             let buffered = std::mem::take(&mut conn.pending);
             let idle = buffered.is_empty();
-            conn.state = ConnState::Reading {
-                buf: buffered,
-                head_end: None,
-                want: None,
-            };
+            conn.state = ConnState::Reading { buf: buffered };
             conn.deadline = Some(
                 Instant::now()
                     + if idle {
@@ -1102,11 +1038,16 @@ mod tests {
         (Arc::new(state), Arc::new(api::build_router()), registry)
     }
 
+    /// What the event thread hands a worker for these bytes.
+    fn parsed(raw: &[u8]) -> io::Result<Request> {
+        Request::parse(raw).map(|(request, _)| request)
+    }
+
     #[test]
     fn execute_routes_complete_requests_and_records() {
         let (state, router, registry) = app();
         let (response, keep, route) = execute(
-            b"GET /api/stats HTTP/1.1\r\nHost: t\r\n\r\n",
+            parsed(b"GET /api/stats HTTP/1.1\r\nHost: t\r\n\r\n"),
             true,
             &state,
             &router,
@@ -1137,7 +1078,7 @@ mod tests {
             ("/api/v1/tiles/0/0/0?hour=9", "/api/v1/tiles/:z/:x/:y"),
         ] {
             let (response, _, route) = execute(
-                format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes(),
+                parsed(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes()),
                 true,
                 &state,
                 &router,
@@ -1165,7 +1106,7 @@ mod tests {
         let (state, router, registry) = app();
         // Client asks to close: honoured even with budget left.
         let (_, keep, _) = execute(
-            b"GET /api/stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+            parsed(b"GET /api/stats HTTP/1.1\r\nConnection: close\r\n\r\n"),
             true,
             &state,
             &router,
@@ -1176,7 +1117,7 @@ mod tests {
         assert!(!keep);
         // Budget exhausted: closed even though the client would stay.
         let (_, keep, _) = execute(
-            b"GET /api/stats HTTP/1.1\r\n\r\n",
+            parsed(b"GET /api/stats HTTP/1.1\r\n\r\n"),
             false,
             &state,
             &router,
@@ -1191,7 +1132,7 @@ mod tests {
     fn execute_maps_parser_errors_to_400() {
         let (state, router, registry) = app();
         let (response, keep, _) = execute(
-            b"BREW /coffee HTCPCP/1.0\r\n\r\n",
+            parsed(b"BREW /coffee HTCPCP/1.0\r\n\r\n"),
             true,
             &state,
             &router,
@@ -1203,7 +1144,7 @@ mod tests {
         assert!(!keep, "a broken request forfeits its framing — close");
         // Truncated body keeps the dedicated message.
         let (response, _, _) = execute(
-            b"POST /api/upload HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+            parsed(b"POST /api/upload HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"),
             true,
             &state,
             &router,
@@ -1242,14 +1183,15 @@ mod tests {
     #[test]
     fn accumulate_tracks_head_and_body_completion() {
         let mut conn = idle_conn();
-        assert!(!accumulate(&mut conn, b"POST /x HTTP/1.1\r\nContent-"));
-        assert!(!accumulate(&mut conn, b"Length: 5\r\n\r\n"));
-        assert!(!accumulate(&mut conn, b"he"));
-        assert!(accumulate(&mut conn, b"llo"));
-        let ConnState::Reading { buf, want, .. } = &conn.state else {
+        assert!(accumulate(&mut conn, b"POST /x HTTP/1.1\r\nContent-").is_none());
+        assert!(accumulate(&mut conn, b"Length: 5\r\n\r\n").is_none());
+        assert!(accumulate(&mut conn, b"he").is_none());
+        let (request, used) = accumulate(&mut conn, b"llo").unwrap().unwrap();
+        assert_eq!(request.body, b"hello");
+        let ConnState::Reading { buf } = &conn.state else {
             panic!("still reading");
         };
-        assert_eq!(*want, Some(buf.len()));
+        assert_eq!(used, buf.len());
     }
 
     #[test]
@@ -1272,11 +1214,12 @@ mod tests {
         let mut conn = idle_conn();
         // Two complete requests in one segment: only the first goes to
         // the worker; the second waits in `pending`.
-        assert!(accumulate(
+        let parsed = accumulate(
             &mut conn,
-            b"GET /api/v1/stats HTTP/1.1\r\n\r\nGET /api/v1/healthz HTTP/1.1\r\n\r\n"
-        ));
-        dispatch(0, &mut conn, &ctx);
+            b"GET /api/v1/stats HTTP/1.1\r\n\r\nGET /api/v1/healthz HTTP/1.1\r\n\r\n",
+        )
+        .expect("the first request is complete");
+        dispatch(0, &mut conn, &ctx, parsed);
         assert!(matches!(conn.state, ConnState::Dispatched));
         assert_eq!(conn.pending, b"GET /api/v1/healthz HTTP/1.1\r\n\r\n");
     }
@@ -1316,21 +1259,28 @@ mod tests {
             metrics: &metrics,
             config: &config,
         };
-        let mut conn = idle_conn();
-        assert!(accumulate(&mut conn, b"GET /api/v1/stats HTTP/1.1\r\n\r\n"));
-        dispatch(0, &mut conn, &ctx);
-        let ConnState::Writing { buf, then, .. } = &conn.state else {
-            panic!("shed connection should be writing its 503");
-        };
-        let wire = String::from_utf8_lossy(buf);
-        assert!(wire.starts_with("HTTP/1.1 503 "), "{wire}");
-        assert!(wire.contains("worker queue full"), "{wire}");
-        let head = &wire[..wire.find("\r\n\r\n").unwrap()];
-        assert!(head.contains("Retry-After: 1"), "{head}");
-        // The shed request negotiated keep-alive (HTTP/1.1, budget
-        // left), so the 503 must not kill the client's pipeline.
-        assert_eq!(*then, WriteThen::Continue);
-        assert!(head.contains("Connection: keep-alive"), "{head}");
+        // `/HTTP/1.0` is the target, not the version: an HTTP/1.1
+        // request.
+        for raw in [
+            &b"GET /api/v1/stats HTTP/1.1\r\n\r\n"[..],
+            &b"GET /HTTP/1.0\r\n\r\n"[..],
+        ] {
+            let mut conn = idle_conn();
+            let parsed = accumulate(&mut conn, raw).expect("complete request");
+            dispatch(0, &mut conn, &ctx, parsed);
+            let ConnState::Writing { buf, then, .. } = &conn.state else {
+                panic!("shed connection should be writing its 503");
+            };
+            let wire = String::from_utf8_lossy(buf);
+            assert!(wire.starts_with("HTTP/1.1 503 "), "{wire}");
+            assert!(wire.contains("worker queue full"), "{wire}");
+            let head = &wire[..wire.find("\r\n\r\n").unwrap()];
+            assert!(head.contains("Retry-After: 1"), "{head}");
+            // The shed request negotiated keep-alive (HTTP/1.1, budget
+            // left), so the 503 must not kill the client's pipeline.
+            assert_eq!(*then, WriteThen::Continue, "{raw:?}");
+            assert!(head.contains("Connection: keep-alive"), "{head}");
+        }
         let _ = park_tx.send(());
     }
 
@@ -1352,11 +1302,12 @@ mod tests {
             config: &config,
         };
         let mut conn = idle_conn();
-        assert!(accumulate(
+        let parsed = accumulate(
             &mut conn,
-            b"GET /api/v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n"
-        ));
-        dispatch(0, &mut conn, &ctx);
+            b"GET /api/v1/stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .expect("complete request");
+        dispatch(0, &mut conn, &ctx, parsed);
         let ConnState::Writing { buf, then, .. } = &conn.state else {
             panic!("shed connection should be writing its 503");
         };
@@ -1371,10 +1322,11 @@ mod tests {
     #[test]
     fn over_cap_refusal_always_closes() {
         let mut conn = idle_conn();
+        let refusal = Response::error(StatusCode::ServiceUnavailable, "connection limit reached");
         queue_response(
             &mut conn,
-            Response::error(StatusCode::ServiceUnavailable, "connection limit reached"),
-            false,
+            Payload::new(refusal, false, ""),
+            &ReactorMetrics::new(MetricsRegistry::new()),
             Duration::from_secs(1),
         );
         let ConnState::Writing { buf, then, .. } = &conn.state else {
@@ -1387,12 +1339,74 @@ mod tests {
     #[test]
     fn accumulate_finalizes_untrustworthy_heads_without_waiting() {
         let mut conn = idle_conn();
-        // Conflicting Content-Length: complete immediately (no body
-        // wait), so the parser can answer 400 now.
-        assert!(accumulate(
+        // Conflicting Content-Length: final immediately (no body wait),
+        // so the connection gets its 400 now.
+        let parsed = accumulate(
             &mut conn,
-            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n"
-        ));
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\n",
+        );
+        assert!(matches!(parsed, Some(Err(e)) if e.kind() == io::ErrorKind::InvalidData));
+    }
+
+    #[test]
+    fn accumulate_over_random_read_splits_matches_one_parse() {
+        let (state, router, registry) = app();
+        let pool = WorkerPool::new(1, 1024);
+        let (done_tx, _done_rx) = mpsc::channel::<Completion>();
+        let (waker, _wake_rx) = sys::wake_pair().unwrap();
+        let metrics = ReactorMetrics::new(registry);
+        let config = ReactorConfig::default();
+        let ctx = Ctx {
+            state: &state,
+            router: &router,
+            pool: &pool,
+            done_tx: &done_tx,
+            waker: &waker,
+            metrics: &metrics,
+            config: &config,
+        };
+        let wires: [&[u8]; 5] = [
+            b"GET /api/v1/healthz HTTP/1.1\r\nHost: x\r\n\r\nGET /api/v1/stats HTTP/1.1\r\n\r\n",
+            b"POST /api/v1/healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET / HTTP/1.0\n\n",
+            b"GET /HTTP/1.0\nConnection: close\n\nleftover",
+            b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            b"BREW /coffee HTTP/1.1\r\nContent-Length: 10\r\n\r\n",
+        ];
+        // A fixed-seed xorshift: deterministic "random" read sizes.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            1 + (seed % bound as u64) as usize
+        };
+        for wire in wires {
+            let whole = Request::parse(wire).map_err(|e| e.to_string());
+            for _ in 0..64 {
+                let mut conn = idle_conn();
+                let mut fed = 0;
+                let parsed = loop {
+                    assert!(fed < wire.len(), "{wire:?} never completed");
+                    let n = next(8).min(wire.len() - fed);
+                    fed += n;
+                    if let Some(parsed) = accumulate(&mut conn, &wire[fed - n..fed]) {
+                        break parsed;
+                    }
+                };
+                let outcome = parsed.as_ref().map(|(r, used)| (r.clone(), *used));
+                assert_eq!(
+                    outcome.map_err(|e| e.to_string()),
+                    whole,
+                    "{wire:?} split at {fed}"
+                );
+                let used = whole.as_ref().map_or(0, |(_, used)| *used);
+                dispatch(0, &mut conn, &ctx, parsed);
+                assert!(matches!(conn.state, ConnState::Dispatched));
+                if whole.is_ok() {
+                    assert_eq!(conn.pending, &wire[used..fed], "{wire:?} split at {fed}");
+                }
+            }
+        }
     }
 
     /// A scripted producer: yields `chunks` in order, then the given

@@ -478,6 +478,28 @@ mod tests {
     }
 
     #[test]
+    fn transfer_encoded_request_gets_400_and_close() {
+        // Request bodies are Content-Length only. Served as a bodyless
+        // POST, the chunked body's bytes would be parsed as a second,
+        // pipelined request.
+        let (addr, handle, join) = spawn_server();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "POST /api/upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+        )
+        .unwrap();
+        let mut buf = String::new();
+        stream.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+        assert!(buf.contains("\r\nConnection: close\r\n"), "{buf}");
+        assert!(buf.contains("content-length"), "{buf}");
+        assert_eq!(buf.matches("HTTP/1.1 ").count(), 1, "one response: {buf}");
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
     fn malformed_request_gets_400() {
         let (addr, handle, join) = spawn_server();
         let mut stream = TcpStream::connect(addr).unwrap();

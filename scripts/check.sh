@@ -7,6 +7,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs `cargo test -q <args>` and fails unless at least one test passed:
+# `cargo test <filter>` exits 0 when the filter matches nothing, so a
+# renamed test would otherwise drop out of its gate silently. The
+# passed counts are summed over every test binary the run touched.
+run_named() {
+    local out passed
+    if ! out=$(cargo test -q "$@" 2>&1); then
+        echo "$out"
+        return 1
+    fi
+    echo "$out"
+    passed=$(echo "$out" | awk '/^test result:/ {
+        for (i = 2; i <= NF; i++) if ($i ~ /^passed/) n += $(i - 1)
+    } END { print n + 0 }')
+    if [ "$passed" -eq 0 ]; then
+        echo "no test matched: cargo test $*" >&2
+        return 1
+    fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -31,10 +51,13 @@ echo "== server gate =="
 cargo test -q -p crowdweb-server
 # The evented-loop guarantee must hold explicitly: slow-drip clients
 # cannot block a fast one.
-cargo test -q -p crowdweb-server slow_drip
+run_named -p crowdweb-server slow_drip
 # Keep-alive semantics, pipelining included, end to end over TCP.
 cargo test -q -p crowdweb-server --test keep_alive
-cargo test -q -p crowdweb-server --test keep_alive two_pipelined
+run_named -p crowdweb-server --test keep_alive two_pipelined
+# The one request parser: prefix-stable over arbitrary bytes, and final
+# on any unterminated head past the size bounds.
+run_named -p crowdweb-server --lib prop_parse_
 grep -q '/api/healthz' README.md || {
     echo "README.md must document the /api/healthz endpoint" >&2
     exit 1
@@ -72,7 +95,7 @@ echo "== tenancy gate =="
 # epochs byte-identical across parallelism and shard policies.
 cargo test -q --test tenancy
 # The sparse cell store must stay provably equivalent to the dense one.
-cargo test -q -p crowdweb-geo cells
+run_named -p crowdweb-geo cells
 grep -qF '/api/v1/cities/{city}' README.md || {
     echo "README.md must document the /api/v1/cities/{city}/... tenant routes" >&2
     exit 1
@@ -85,7 +108,7 @@ grep -qF 'default city' README.md || {
 echo "== epoch history gate =="
 # Time travel must stay byte-identical to cold rebuilds, end to end.
 cargo test -q --test epoch_history
-cargo test -q --test server_e2e time_travel
+run_named --test server_e2e time_travel
 # The history metrics must stay pinned by the exposition test.
 for metric in crowdweb_ingest_history_retained_epochs \
     crowdweb_ingest_history_resident_bytes \
@@ -100,7 +123,7 @@ echo "== API v1 doc-drift gate =="
 # Every /api/v1 route label the router registers must appear verbatim
 # in the README endpoint tables (parameter spellings like :user
 # included); the test reads the labels from the built route table.
-cargo test -q -p crowdweb-server --lib readme_documents_every_registered_v1_route
+run_named -p crowdweb-server --lib readme_documents_every_registered_v1_route
 
 echo "== loadgen gate =="
 # Trace synthesis must be deterministic, every shipped scenario must
@@ -109,6 +132,8 @@ echo "== loadgen gate =="
 # non-2xx, valid TSV).
 cargo test -q -p crowdweb-loadgen
 cargo test -q -p crowdweb-loadgen --test smoke_gate
+# The response decoder must decode split reads exactly like one read.
+run_named -p crowdweb-loadgen --lib prop_decoder_split_reads_match_whole_stream
 grep -qF 'crowdweb-loadgen run' README.md || {
     echo "README.md must document the crowdweb-loadgen run quick-start" >&2
     exit 1
